@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .amm_core import DomainError, PoolState
+from .config import ConfigError, build, require
 from .failure_models import from_config as model_from_config
 from .fee_accounting import (
     SchemaError,
@@ -28,8 +29,8 @@ from .fee_accounting import (
     revert_differential,
     revert_stats,
 )
-from .sequencer_sim import ConfigError, SimConfig, run, summarize
-from .split_optimizer import ArbParams, NoRootError, plan, profit_curve
+from .sequencer_sim import SimConfig, run, summarize
+from .split_optimizer import DEFAULT_REL_TOL, ArbParams, NoRootError, plan, profit_curve
 from .trace_analysis import (
     TraceParseError,
     breakdown,
@@ -54,14 +55,8 @@ def _load_json(path: Path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _check_keys(d: dict, allowed: set[str], path: str):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown config field")
 
 
 def _write_manifest(out_dir: Path, subcommand: str, inputs: dict[str, str], config_bytes: bytes):
@@ -85,37 +80,38 @@ def _write_csv(path: Path, header: list[str], rows):
         writer.writerows(rows)
 
 
+@dataclasses.dataclass(frozen=True)
+class ModelConfig:
+    """The ``model`` section of an ``optimize`` config."""
+
+    family: str
+    parameters: dict = dataclasses.field(default_factory=dict)
+    floor: float | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class OptimizeConfig:
+    """An ``optimize`` config file."""
+
+    pool: PoolState
+    params: ArbParams
+    model: ModelConfig
+    rel_tol: float = DEFAULT_REL_TOL
+
+    def __post_init__(self):
+        require(self.rel_tol > 0, "rel_tol", "must be positive")
+
+
 def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
-    cfg = _load_json(config_path)
-    _check_keys(cfg, {"version", "pool", "params", "model", "rel_tol"}, "config")
-    for section in ("pool", "params", "model"):
-        if section not in cfg:
-            raise ConfigError(f"config.{section}: required")
-    _check_keys(cfg["pool"], {"reserve_x", "reserve_y", "fee"}, "config.pool")
-    _check_keys(
-        cfg["params"],
-        {"total_size", "cex_price", "gas_overhead", "liquidation_penalty"},
-        "config.params",
-    )
-    _check_keys(cfg["model"], {"family", "parameters", "floor"}, "config.model")
-
-    try:
-        pool = PoolState(**cfg["pool"])
-        params = ArbParams(**cfg["params"])
-        model = model_from_config(
-            cfg["model"]["family"], cfg["model"].get("parameters", {}), cfg["model"].get("floor")
-        )
-    except (DomainError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    result = plan(pool, params, model, rel_tol=float(cfg.get("rel_tol", 1e-10)))
+    cfg = build(OptimizeConfig, _load_json(config_path))
+    model = model_from_config(cfg.model.family, cfg.model.parameters, cfg.model.floor)
+    result = plan(cfg.pool, cfg.params, model, rel_tol=cfg.rel_tol)
 
     n_curve = min(10 * result.num_chunks, 1000)
-    curve = profit_curve(pool, params, model, n_curve)
+    curve = profit_curve(cfg.pool, cfg.params, model, n_curve)
 
-    out = result.to_dict()
     with open(out_dir / "plan.json", "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_csv(out_dir / "profit_curve.csv", ["n", "expected_total_profit"], curve)
     _write_manifest(out_dir, "optimize", {"config": str(config_path)}, config_path.read_bytes())
@@ -124,8 +120,7 @@ def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
 
 
 def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool):
-    cfg = _load_json(config_path)
-    config = SimConfig.from_dict(cfg)
+    config = SimConfig.from_dict(_load_json(config_path))
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     report = run(config)
@@ -249,6 +244,12 @@ def cmd_analyze(
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="splitmev")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--labels", required=True, type=Path)
     p_ana.add_argument("--records", required=True, type=Path)
     p_ana.add_argument("--out", type=Path, default=default_out, required=default_out is None)
-    p_ana.add_argument("--min-bot-reverts", type=int, default=10)
+    p_ana.add_argument("--min-bot-reverts", type=_positive_int, default=10)
 
     return parser
 

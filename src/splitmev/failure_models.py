@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amm_core import DomainError
+from .config import build, require
 
 __all__ = [
     "FailureModel",
@@ -42,11 +43,10 @@ def _check_q(q, q_max=None) -> np.ndarray:
     return q
 
 
-def _check_floor(floor: float, allow_one: bool = False):
+def _check_floor(floor: float, allow_one: bool = False, path: str = "floor"):
     if allow_one and floor == 1.0:
         return
-    if not (0.0 < floor <= 0.01):
-        raise DomainError(f"floor must lie in (0, 0.01], got {floor}")
+    require(0.0 < floor <= 0.01, path, f"must lie in (0, 0.01], got {floor}")
 
 
 class FailureModel:
@@ -89,8 +89,7 @@ class LinearClamped(FailureModel):
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if not self.slope > 0:
-            raise DomainError("slope must be positive")
+        require(self.slope > 0, "slope", "must be positive")
         _check_floor(self.floor)
 
     def _raw(self, q):
@@ -112,10 +111,8 @@ class PowerConcave(FailureModel):
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if not self.q_max > 0:
-            raise DomainError("q_max must be positive")
-        if not self.alpha >= 1.0:
-            raise DomainError("alpha must be >= 1 for concavity")
+        require(self.q_max > 0, "q_max", "must be positive")
+        require(self.alpha >= 1.0, "alpha", "must be >= 1 for concavity")
         _check_floor(self.floor)
 
     def _raw(self, q):
@@ -170,10 +167,8 @@ class TableInterpolated(FailureModel):
             raise DomainError("need matching q/p samples, at least two points")
         if qs[0] != 0.0 or ps[0] != 1.0:
             raise DomainError("table must start at (0, 1)")
-        if not np.all(np.diff(qs) > 0):
-            raise DomainError("table q values must be strictly increasing")
-        if not np.all(np.diff(ps) < 0):
-            raise DomainError("table p values must be strictly decreasing")
+        require(np.all(np.diff(qs) > 0), "qs", "must be strictly increasing")
+        require(np.all(np.diff(ps) < 0), "ps", "must be strictly decreasing")
         _check_floor(self.floor)
 
     def domain_max(self):
@@ -194,6 +189,9 @@ class _ConstantSuccess(FailureModel):
 
     floor: float = 1.0
 
+    def __post_init__(self):
+        _check_floor(self.floor, allow_one=True)
+
     def _raw(self, q):
         return np.ones_like(q)
 
@@ -211,24 +209,18 @@ _FAMILIES = {
     "power_concave": PowerConcave,
     "quadratic_concave": QuadraticConcave,
     "table_interpolated": TableInterpolated,
-    "constant": lambda **kw: constant_success(),
+    "constant": _ConstantSuccess,
 }
 
 
 def from_config(family: str, parameters: dict, floor: float | None = None) -> FailureModel:
-    """Build a model from a (family name, parameter map) config entry."""
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown failure-model family {family!r}; known: {sorted(_FAMILIES)}")
-    kwargs = dict(parameters)
-    if family == "table_interpolated":
-        kwargs["qs"] = tuple(kwargs["qs"])
-        kwargs["ps"] = tuple(kwargs["ps"])
-    if floor is not None and family != "constant":
-        kwargs["floor"] = floor
-    try:
-        return _FAMILIES[family](**kwargs)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters for {family}: {exc}") from exc
+    """Build a model from the ``model`` section of a config; errors are
+    ``ConfigError`` naming the field under ``config.model``."""
+    require(family in _FAMILIES, "config.model.family", f"unknown {family!r}; known: {sorted(_FAMILIES)}")
+    if floor is not None:
+        _check_floor(floor, path="config.model.floor")
+        parameters = {**parameters, "floor": floor}
+    return build(_FAMILIES[family], parameters, "config.model.parameters")
 
 
 @dataclass(frozen=True)

@@ -28,21 +28,6 @@ __all__ = [
     "TX_RECORD_HEADER",
 ]
 
-TX_RECORD_HEADER = [
-    "tx_hash",
-    "day",
-    "block_number",
-    "tx_index",
-    "status",
-    "from_address",
-    "to_address",
-    "gas_price",
-    "priority_fee_per_gas",
-    "gas_used",
-    "l1_fee",
-    "chain",
-]
-
 STATUSES = ("success", "reverted")
 
 
@@ -77,6 +62,9 @@ class TxRecord:
     @property
     def reverted(self) -> bool:
         return self.status == "reverted"
+
+
+TX_RECORD_HEADER = [f.name for f in fields(TxRecord)]
 
 
 @dataclass(frozen=True)
@@ -171,6 +159,8 @@ def priority_fee_distribution(
 
 
 def _parse_row(row: dict, line_no: int) -> TxRecord:
+    if None in row.values():  # csv.DictReader's value for a missing trailing cell
+        raise SchemaError(f"line {line_no}: expected {len(TX_RECORD_HEADER)} cells")
     try:
         return TxRecord(
             tx_hash=row["tx_hash"],

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .amm_core import PoolState, apply_swap, swap_out
+from .config import ConfigError, build, require
 
 __all__ = [
     "ConfigError",
@@ -40,15 +41,6 @@ STRATEGIES = ("single_shot", "split_n", "duplicate_k", "split_and_duplicate")
 ORDERINGS = ("fcfs", "pfa_within_batch")
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; message names the offending field."""
-
-
-def _require(cond: bool, path: str, msg: str):
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
-
-
 @dataclass(frozen=True)
 class BotSpec:
     name: str
@@ -62,14 +54,14 @@ class BotSpec:
     slippage_tolerance: float = 0.0
 
     def __post_init__(self):
-        _require(self.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}")
-        _require(self.trade_size > 0, "trade_size", "must be positive")
-        _require(self.n_chunks >= 1, "n_chunks", "must be >= 1")
-        _require(self.k_copies >= 1, "k_copies", "must be >= 1")
-        _require(self.priority_fee >= 0, "priority_fee", "must be nonnegative")
-        _require(self.latency_mean >= 0, "latency_mean", "must be nonnegative")
-        _require(self.latency_jitter >= 0, "latency_jitter", "must be nonnegative")
-        _require(0 <= self.slippage_tolerance < 1, "slippage_tolerance", "must be in [0, 1)")
+        require(self.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}")
+        require(self.trade_size > 0, "trade_size", "must be positive")
+        require(self.n_chunks >= 1, "n_chunks", "must be >= 1")
+        require(self.k_copies >= 1, "k_copies", "must be >= 1")
+        require(self.priority_fee >= 0, "priority_fee", "must be nonnegative")
+        require(self.latency_mean >= 0, "latency_mean", "must be nonnegative")
+        require(self.latency_jitter >= 0, "latency_jitter", "must be nonnegative")
+        require(0 <= self.slippage_tolerance < 1, "slippage_tolerance", "must be in [0, 1)")
 
     def tx_sizes(self) -> list[float]:
         """Per-opportunity transaction sizes, chunk-major for duplicates."""
@@ -81,9 +73,6 @@ class BotSpec:
             return [self.trade_size] * self.k_copies
         chunk = self.trade_size / self.n_chunks
         return [chunk for _ in range(self.n_chunks) for _ in range(self.k_copies)]
-
-
-_BOT_KEYS = {f for f in BotSpec.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -101,18 +90,18 @@ class SimConfig:
     liquidation_penalty: float = 0.0
 
     def __post_init__(self):
-        _require(self.block_time > 0, "block_time", "must be positive")
-        _require(self.horizon >= self.block_time, "horizon", "must be >= block_time")
-        _require(len(self.bots) >= 1, "bots", "need at least one bot")
-        _require(self.ordering in ORDERINGS, "ordering", f"must be one of {ORDERINGS}")
-        _require(self.cex_price > 0, "cex_price", "must be positive")
-        _require(self.seed >= 0, "seed", "must be a nonnegative integer")
+        require(self.block_time > 0, "block_time", "must be positive")
+        require(self.horizon >= self.block_time, "horizon", "must be >= block_time")
+        require(len(self.bots) >= 1, "bots", "need at least one bot")
+        require(self.ordering in ORDERINGS, "ordering", f"must be one of {ORDERINGS}")
+        require(self.cex_price > 0, "cex_price", "must be positive")
+        require(self.seed >= 0, "seed", "must be a nonnegative integer")
         if self.batch_window is not None:
-            _require(self.batch_window >= 0, "batch_window", "must be nonnegative")
+            require(self.batch_window >= 0, "batch_window", "must be nonnegative")
         if self.opportunity_refresh is not None:
-            _require(self.opportunity_refresh > 0, "opportunity_refresh", "must be positive")
-        _require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
-        _require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
+            require(self.opportunity_refresh > 0, "opportunity_refresh", "must be positive")
+        require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
+        require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
 
     @property
     def effective_batch_window(self) -> float:
@@ -124,45 +113,11 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {
-            "version", "block_time", "batch_window", "ordering", "pool", "cex_price",
-            "opportunity_refresh", "bots", "horizon", "seed", "gas_overhead",
-            "liquidation_penalty",
-        }
-        for key in d:
-            _require(key in known, key, "unknown config field")
-        _require("pool" in d, "pool", "required")
-        _require("bots" in d, "bots", "required")
-        pool_d = d["pool"]
-        for key in pool_d:
-            _require(key in ("reserve_x", "reserve_y", "fee"), f"pool.{key}", "unknown field")
-        bots = []
-        for i, b in enumerate(d["bots"]):
-            for key in b:
-                _require(key in _BOT_KEYS, f"bots[{i}].{key}", "unknown field")
-            b = dict(b)
-            b.setdefault("name", f"bot{i}")
-            bots.append(BotSpec(**b))
-        try:
-            return cls(
-                block_time=float(d["block_time"]),
-                pool=PoolState(**pool_d),
-                cex_price=float(d["cex_price"]),
-                horizon=float(d["horizon"]),
-                bots=tuple(bots),
-                seed=int(d.get("seed", 0)),
-                ordering=d.get("ordering", "fcfs"),
-                batch_window=None if d.get("batch_window") is None else float(d["batch_window"]),
-                opportunity_refresh=(
-                    None if d.get("opportunity_refresh") is None else float(d["opportunity_refresh"])
-                ),
-                gas_overhead=float(d.get("gas_overhead", 0.0)),
-                liquidation_penalty=float(d.get("liquidation_penalty", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        """Build from a parsed scenario config; bot ``i``'s name defaults to ``bot{i}``."""
+        if isinstance(d, dict) and isinstance(d.get("bots"), list):
+            bots = [{"name": f"bot{i}", **b} if isinstance(b, dict) else b for i, b in enumerate(d["bots"])]
+            d = {**d, "bots": bots}
+        return build(cls, d)
 
 
 @dataclass(frozen=True)

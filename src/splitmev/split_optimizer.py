@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .amm_core import DomainError, PoolState, marginal_out, swap_out
+from .config import require
 from .failure_models import FailureModel
 
 __all__ = [
@@ -61,12 +62,10 @@ class ArbParams:
     liquidation_penalty: float = 0.0
 
     def __post_init__(self):
-        if not self.total_size > 0:
-            raise DomainError("total_size must be positive")
-        if not self.cex_price > 0:
-            raise DomainError("cex_price must be positive")
-        if self.gas_overhead < 0 or self.liquidation_penalty < 0:
-            raise DomainError("costs must be nonnegative")
+        require(self.total_size > 0, "total_size", "must be positive")
+        require(self.cex_price > 0, "cex_price", "must be positive")
+        require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
+        require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,14 +78,7 @@ class SplitPlan:
     truncated: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "chunk_size": self.chunk_size,
-            "num_chunks": self.num_chunks,
-            "expected_total_profit": self.expected_total_profit,
-            "branch": self.branch,
-            "threshold_value": self.threshold_value,
-            "truncated": self.truncated,
-        }
+        return asdict(self)
 
 
 def _check_chunk(params: ArbParams, q, upper_inclusive=True) -> np.ndarray:

@@ -70,6 +70,8 @@ class TraceFrame:
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "root") -> "TraceFrame":
+        if not isinstance(d, dict):
+            raise TraceParseError(f"{path}: expected a JSON object")
         try:
             kind = d.get("call_kind", "call")
             if kind not in CALL_KINDS:
@@ -303,16 +305,16 @@ def breakdown(
 def load_trace_file(path) -> list[TraceFrame]:
     """Read one trace JSON file: either a single call tree or JSON-lines
     with one tree per line."""
-    frames = []
     with open(path) as fh:
         text = fh.read().strip()
     if not text:
-        return frames
+        return []
     try:
-        doc = json.loads(text)
-        docs = doc if isinstance(doc, list) else [doc]
-    except json.JSONDecodeError:
-        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
-    for i, d in enumerate(docs):
-        frames.append(TraceFrame.from_dict(d, path=f"{path}[{i}]"))
-    return frames
+        try:
+            doc = json.loads(text)
+            docs = doc if isinstance(doc, list) else [doc]
+        except json.JSONDecodeError:
+            docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        return [TraceFrame.from_dict(d, path=f"{path}[{i}]") for i, d in enumerate(docs)]
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON (lines), or nested too deeply
+        raise TraceParseError(f"{path}: {exc}") from exc

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from splitmev.cli import main
 
 OPTIMIZE_CONFIG = {
@@ -8,6 +10,57 @@ OPTIMIZE_CONFIG = {
     "pool": {"reserve_x": 1000.0, "reserve_y": 2000.0, "fee": 0.0},
     "params": {"total_size": 100.0, "cex_price": 1.9, "gas_overhead": 1.0},
     "model": {"family": "constant", "parameters": {}},
+}
+
+
+SIM_CONFIG = {
+    "version": 1,
+    "block_time": 0.25,
+    "pool": {"reserve_x": 1000.0, "reserve_y": 2000.0, "fee": 0.003},
+    "cex_price": 1.8,
+    "horizon": 1.0,
+    "seed": 42,
+    "bots": [{"name": "spammer", "strategy": "duplicate_k", "trade_size": 10.0, "k_copies": 5}],
+}
+
+
+def edited(base, drop=(), **changes):
+    return {**{k: v for k, v in base.items() if k not in drop}, **changes}
+
+
+OPT, SIM, BOT = OPTIMIZE_CONFIG, SIM_CONFIG, SIM_CONFIG["bots"][0]
+TABLE_WITHOUT_QS = {"family": "table_interpolated", "parameters": {"ps": [1.0, 0.5]}}
+TABLE_NOT_INCREASING = {"family": "table_interpolated", "parameters": {"qs": [0.0, 0.0], "ps": [1.0, 0.5]}}
+
+# (subcommand, config, path of the offending field): first the thirteen
+# configs that exited 1 with a traceback, were accepted, or named no field
+# path before the config builder; then checks of the builder itself
+MALFORMED_CONFIGS = {
+    "opt-model-no-family": ("optimize", edited(OPT, model={"parameters": {}}), "config.model.family"),
+    "opt-pool-number": ("optimize", edited(OPT, pool=5), "config.pool"),
+    "opt-top-level-number": ("optimize", 5, "config"),
+    "opt-rel-tol-string": ("optimize", edited(OPT, rel_tol="abc"), "config.rel_tol"),
+    "opt-table-no-qs": ("optimize", edited(OPT, model=TABLE_WITHOUT_QS), "config.model.parameters.qs"),
+    "opt-size-string": (
+        "optimize",
+        edited(OPT, params=edited(OPT["params"], total_size="100")),
+        "config.params.total_size",
+    ),
+    "sim-bot-no-size": ("simulate", edited(SIM, bots=[edited(BOT, drop=["trade_size"])]), "config.bots[0].trade_size"),
+    "sim-size-string": ("simulate", edited(SIM, bots=[edited(BOT, trade_size="1")]), "config.bots[0].trade_size"),
+    "sim-bots-number": ("simulate", edited(SIM, bots=5), "config.bots"),
+    "sim-pool-list": ("simulate", edited(SIM, pool=[1, 2]), "config.pool"),
+    "sim-block-time-string": ("simulate", edited(SIM, block_time="0.25"), "config.block_time"),
+    "sim-seed-float": ("simulate", edited(SIM, seed=1.7), "config.seed"),
+    "sim-no-horizon": ("simulate", edited(SIM, drop=["horizon"]), "config.horizon"),
+    "opt-rel-tol-zero": ("optimize", edited(OPT, rel_tol=0), "config.rel_tol"),
+    "opt-nested-version": ("optimize", edited(OPT, pool=edited(OPT["pool"], version=1)), "config.pool.version"),
+    "sim-bool-price": ("simulate", edited(SIM, cex_price=True), "config.cex_price"),
+    "sim-huge-price": ("simulate", edited(SIM, cex_price=10**400), "config.cex_price"),
+    "sim-bot-check": ("simulate", edited(SIM, bots=[edited(BOT, trade_size=0.0)]), "config.bots[0].trade_size"),
+    "opt-pool-check": ("optimize", edited(OPT, pool=edited(OPT["pool"], reserve_x=0.0)), "config.pool"),
+    "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.5)), "config.model.floor"),
+    "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
 }
 
 
@@ -62,6 +115,23 @@ def test_optimize_malformed_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
     assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("subcommand, cfg, field", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+def test_malformed_config_names_field(tmp_path, capsys, subcommand, cfg, field):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [b"[" * 100_000, b"1" * 5000, b"\xff"], ids=["deep", "long-int", "not-utf8"])
+def test_unparsable_config_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_simulate_scenario_file(tmp_path, scenarios_dir):
@@ -229,6 +299,15 @@ def test_analyze_bad_label_header(tmp_path, fixtures_dir, capsys):
     )
     assert rc == 2
     assert "header" in capsys.readouterr().err
+
+
+def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsys):
+    argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
+    argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--min-bot-reverts", "0"])
+    assert exc.value.code == 2
+    assert "--min-bot-reverts: must be >= 1" in capsys.readouterr().err
 
 
 def test_out_dir_from_environment(tmp_path, configs_dir, monkeypatch):

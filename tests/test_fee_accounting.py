@@ -14,6 +14,7 @@ from splitmev import (
     revert_stats,
     write_records_csv,
 )
+from splitmev.fee_accounting import TX_RECORD_HEADER
 
 DAY = dt.date(2025, 5, 1)
 
@@ -195,4 +196,14 @@ def test_csv_rejects_bad_row(tmp_path):
         + "\n0x1,2025-05-01,1,0,success,0xa,0xb,ten,0,21000,0,base\n"
     )
     with pytest.raises(SchemaError, match="line 2"):
+        read_records_csv(bad)
+
+
+@pytest.mark.parametrize("cells", [11, 5])
+def test_csv_rejects_short_row(tmp_path, cells):
+    # csv.DictReader fills the missing trailing cells of a short row with None
+    row = "0x1,2025-05-01,1,0,success,0xa,0xb,10,0,21000,0,base".split(",")
+    bad = tmp_path / "short.csv"
+    bad.write_text(",".join(TX_RECORD_HEADER) + "\n" + ",".join(row[:cells]) + "\n")
+    with pytest.raises(SchemaError, match="line 2: expected 12 cells"):
         read_records_csv(bad)

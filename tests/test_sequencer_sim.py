@@ -279,6 +279,15 @@ def test_from_dict_rejects_unknown_fields():
         SimConfig.from_dict({k: v for k, v in d.items() if k != "pool"})
 
 
+def test_from_dict_integers_become_floats(scenarios_dir):
+    # a JSON integer in a float field gives the same report as the float
+    with open(scenarios_dir / "fcfs_duplicates.json") as fh:
+        d = json.load(fh)
+    ints = {**d, "horizon": 1, "pool": {**d["pool"], "reserve_x": 1000, "reserve_y": 2000}}
+    ints["bots"] = [{**d["bots"][0], "trade_size": 10, "priority_fee": 0}]
+    assert run(SimConfig.from_dict(ints)).to_json() == run(SimConfig.from_dict(d)).to_json()
+
+
 def test_split_and_duplicate_tx_counts():
     bot = BotSpec(
         name="x", strategy="split_and_duplicate", trade_size=12.0, n_chunks=3, k_copies=2

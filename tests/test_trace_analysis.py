@@ -136,6 +136,28 @@ def test_load_trace_file_jsonl(tmp_path):
     assert load_trace_file(empty) == []
 
 
+def deep_chain(levels):
+    """JSON text of a call chain ``levels`` frames deep."""
+    a = "0x" + "a" * 40
+    head = '{"from_address": "%s", "to_address": "%s", "depth": %d, "children": ['
+    return "".join(head % (a, a, d) for d in range(levels)) + "]}" * levels
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40)) + "\n{not json\n", "Expecting property name", id="bad-jsonl"),
+        pytest.param("5", r"\[0\]: expected a JSON object", id="not-an-object"),
+        pytest.param(deep_chain(600), "maximum recursion depth", id="too-deep"),
+    ],
+)
+def test_load_trace_file_input_errors(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(TraceParseError, match=message):
+        load_trace_file(path)
+
+
 def test_labels_csv_bad_header(tmp_path):
     bad = tmp_path / "labels.csv"
     bad.write_text("address,kind\n0x1,router\n")
