@@ -54,18 +54,26 @@ def swap_out(pool: PoolState, q):
 
     Defined as 0 at q=0 by continuity so optimizers can probe the boundary.
     """
-    q = _check_size(pool, q, allow_zero=True)
-    g = (1.0 - pool.fee) * q
-    out = pool.reserve_y * g / (pool.reserve_x + g)
+    out = swap_out_unchecked(pool, _check_size(pool, q, allow_zero=True))
     return out if out.ndim else float(out)
 
 
 def marginal_out(pool: PoolState, q):
     """d/dq of swap_out: y(1-f)x / (x + (1-f)q)^2. Strictly decreasing in q."""
-    q = _check_size(pool, q, allow_zero=True)
-    g = pool.reserve_x + (1.0 - pool.fee) * q
-    out = pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
+    out = marginal_out_unchecked(pool, _check_size(pool, q, allow_zero=True))
     return out if out.ndim else float(out)
+
+
+def swap_out_unchecked(pool: PoolState, q):
+    """``swap_out`` of a float or array q that the caller has checked."""
+    g = (1.0 - pool.fee) * q
+    return pool.reserve_y * g / (pool.reserve_x + g)
+
+
+def marginal_out_unchecked(pool: PoolState, q):
+    """``marginal_out`` of a float or array q that the caller has checked."""
+    g = pool.reserve_x + (1.0 - pool.fee) * q
+    return pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
 
 
 def apply_swap(pool: PoolState, q: float) -> PoolState:

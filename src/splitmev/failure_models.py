@@ -10,6 +10,7 @@ parametric family, but can be built through ``TableInterpolated`` so that
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,11 @@ class FailureModel:
     def _raw_derivative(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _raw_and_slope(self, q: float) -> tuple[float, float]:
+        """``_raw`` and ``_raw_derivative`` at one float q, as plain floats;
+        a family whose array forms are not plain arithmetic overrides it."""
+        return self._raw(q), self._raw_derivative(q)
+
     def domain_max(self) -> float | None:
         """Upper end of the declared domain, or None if unbounded."""
         return None
@@ -79,6 +85,12 @@ class FailureModel:
         raw = self._raw(q)
         d = np.where(raw > self.floor, self._raw_derivative(q), 0.0)
         return d if d.ndim else float(d)
+
+    def prob_and_slope_unchecked(self, q: float) -> tuple[float, float]:
+        """``prob(q)`` and ``prob_derivative(q)`` (==) at one float q that the
+        caller has checked against the domain."""
+        raw, slope = self._raw_and_slope(q)
+        return (raw, slope) if raw > self.floor else (self.floor, 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +108,7 @@ class LinearClamped(FailureModel):
         return 1.0 - self.slope * q
 
     def _raw_derivative(self, q):
-        return np.full_like(q, -self.slope)
+        return -self.slope  # prob_derivative broadcasts it over q
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,11 @@ class PowerConcave(FailureModel):
         if self.alpha > 1.0:
             d = np.where(q > 0, d, 0.0)
         return d
+
+    def _raw_and_slope(self, q):
+        # np.power, not **: numpy's vectorized pow, which _raw_derivative runs,
+        # can differ from the C library's (behind **) in the last bit
+        return self._raw(q), -self.alpha * float(np.power(q, self.alpha - 1.0)) / self.q_max**self.alpha
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,15 @@ class TableInterpolated(FailureModel):
         idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, qs.size - 2)
         return (ps[idx + 1] - ps[idx]) / (qs[idx + 1] - qs[idx])
 
+    def _raw_and_slope(self, q):
+        # np.interp's formula slope * (q - qs[i]) + ps[i], with qs[i] <= q the
+        # knot at or below q; at the last knot the slope is the last segment's
+        qs, ps = self.qs, self.ps
+        i = bisect_right(qs, q) - 1
+        j = min(i, len(qs) - 2)
+        slope = (ps[j + 1] - ps[j]) / (qs[j + 1] - qs[j])
+        return slope * (q - qs[i]) + ps[i], slope
+
 
 @dataclass(frozen=True)
 class _ConstantSuccess(FailureModel):
@@ -197,6 +223,9 @@ class _ConstantSuccess(FailureModel):
 
     def _raw_derivative(self, q):
         return np.zeros_like(q)
+
+    def _raw_and_slope(self, q):
+        return 1.0, 0.0
 
 
 def constant_success() -> FailureModel:

@@ -159,7 +159,7 @@ def priority_fee_distribution(
 
 
 def _parse_row(row: dict, line_no: int) -> TxRecord:
-    if None in row.values():  # csv.DictReader's value for a missing trailing cell
+    if None in row or None in row.values():  # csv.DictReader's key for extra cells, value for missing ones
         raise SchemaError(f"line {line_no}: expected {len(TX_RECORD_HEADER)} cells")
     try:
         return TxRecord(

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .amm_core import DomainError, PoolState, marginal_out, swap_out
+from .amm_core import marginal_out_unchecked, swap_out_unchecked
 from .config import require
 from .failure_models import FailureModel
 
@@ -39,12 +40,11 @@ __all__ = [
     "profit_curve",
 ]
 
-GRID_POINTS = 10_000
 DEFAULT_REL_TOL = 1e-10
 
 
 class NoRootError(RuntimeError):
-    """The residual never changes sign on the scanned chunk-size grid."""
+    """The residual is nonpositive at q = D * 1e-9: the root degenerates to 0."""
 
 
 class SingleSwapOptimal(Exception):
@@ -81,10 +81,9 @@ class SplitPlan:
         return asdict(self)
 
 
-def _check_chunk(params: ArbParams, q, upper_inclusive=True) -> np.ndarray:
+def _check_chunk(params: ArbParams, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    hi_ok = q <= params.total_size if upper_inclusive else q < params.total_size
-    if not np.all((q > 0) & hi_ok):
+    if not np.all((q > 0) & (q <= params.total_size)):
         raise DomainError(f"chunk size must lie in (0, {params.total_size}]")
     return q
 
@@ -147,6 +146,16 @@ def _residual(pool: PoolState, params: ArbParams, model: FailureModel, q):
     return lhs - rhs, rhs
 
 
+def _residual_unchecked(pool: PoolState, params: ArbParams, model: FailureModel, q: float):
+    """``_residual`` (==) at one float q in (0, D], unchecked and in plain floats."""
+    phi = params.liquidation_penalty
+    p, dp = model.prob_and_slope_unchecked(q)
+    dy = swap_out_unchecked(pool, q)
+    m = dp * (dy + phi) + p * marginal_out_unchecked(pool, q) - params.cex_price
+    rhs = p * (dy + phi) - (params.gas_overhead + phi)
+    return q * (m + params.cex_price) - rhs, rhs
+
+
 def solve_chunk(
     pool: PoolState,
     params: ArbParams,
@@ -155,8 +164,13 @@ def solve_chunk(
 ) -> float:
     """Unique root of the chunk-size equation on (0, D).
 
-    Brackets by sign change on a geometric grid, then bisects; the residual
-    is monotone, so bisection cannot fail once a bracket exists.
+    The residual decreases strictly from the overhead at q -> 0 to the
+    overhead minus the threshold at D, so [D * 1e-9, D] brackets the root
+    once the single swap is ruled out and the residual at D * 1e-9 is
+    positive. Bisection takes geometric midpoints while the bracket spans
+    more than a factor of 4, then arithmetic ones (about 36 steps), on the
+    unchecked plain-float kernels: ``threshold`` has checked the inputs at
+    q = D, which covers every q in (0, D].
     """
     if rel_tol <= 0:
         raise DomainError("rel_tol must be positive")
@@ -167,19 +181,13 @@ def solve_chunk(
             f"overhead {params.gas_overhead} >= threshold {theta}: single swap is optimal"
         )
 
-    qs = np.geomspace(d * 1e-9, d, GRID_POINTS)
-    res, _ = _residual(pool, params, model, qs)
-    neg = np.nonzero(res <= 0.0)[0]
-    if neg.size == 0 or neg[0] == 0:
-        # residual starts at the overhead (>= 0) and decreases; no bracket
-        # means the overhead is effectively zero and the root degenerates
-        # to q -> 0
-        raise NoRootError("no sign change of the residual on the chunk-size grid")
-    lo, hi = float(qs[neg[0] - 1]), float(qs[neg[0]])
+    lo, hi = d * 1e-9, d
+    if _residual_unchecked(pool, params, model, lo)[0] <= 0.0:
+        raise NoRootError(f"residual is nonpositive at q = D * 1e-9 = {lo}: overhead is effectively zero")
 
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r, rhs = _residual(pool, params, model, mid)
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        r, rhs = _residual_unchecked(pool, params, model, mid)
         if abs(r) <= rel_tol * (1.0 + abs(rhs)):
             return mid
         if r > 0:

@@ -76,9 +76,15 @@ class TraceFrame:
             kind = d.get("call_kind", "call")
             if kind not in CALL_KINDS:
                 raise TraceParseError(f"{path}: unknown call_kind {kind!r}")
-            depth = int(d.get("depth", 0))
+            try:
+                depth = int(d.get("depth", 0))
+            except (TypeError, ValueError, OverflowError):
+                raise TraceParseError(f"{path}: bad depth {d.get('depth')!r}") from None
             if depth < 0:
                 raise TraceParseError(f"{path}: negative depth")
+            children = d.get("children", [])
+            if not isinstance(children, list):
+                raise TraceParseError(f"{path}: children must be a list, got {children!r}")
             frame = cls(
                 from_address=_norm_address(d["from_address"], path),
                 to_address=_norm_address(d["to_address"], path),
@@ -86,8 +92,7 @@ class TraceFrame:
                 depth=depth,
                 selector=str(d["selector"]).lower() if d.get("selector") else None,
                 children=tuple(
-                    cls.from_dict(c, f"{path}.children[{i}]")
-                    for i, c in enumerate(d.get("children", []))
+                    cls.from_dict(c, f"{path}.children[{i}]") for i, c in enumerate(children)
                 ),
             )
         except KeyError as exc:
@@ -305,16 +310,17 @@ def breakdown(
 def load_trace_file(path) -> list[TraceFrame]:
     """Read one trace JSON file: either a single call tree or JSON-lines
     with one tree per line."""
-    with open(path) as fh:
-        text = fh.read().strip()
-    if not text:
-        return []
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().strip()
+        if not text:
+            return []
         try:
             doc = json.loads(text)
             docs = doc if isinstance(doc, list) else [doc]
         except json.JSONDecodeError:
             docs = [json.loads(line) for line in text.splitlines() if line.strip()]
         return [TraceFrame.from_dict(d, path=f"{path}[{i}]") for i, d in enumerate(docs)]
-    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON (lines), or nested too deeply
+    # not UTF-8, not JSON (lines), or nested too deeply
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TraceParseError(f"{path}: {exc}") from exc

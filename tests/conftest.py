@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from splitmev import (
     ArbParams,
@@ -8,6 +9,14 @@ from splitmev import (
     PowerConcave,
     QuadraticConcave,
     threshold,
+)
+
+
+pools = st.builds(
+    PoolState,
+    reserve_x=st.floats(1e2, 1e7),
+    reserve_y=st.floats(1e2, 1e7),
+    fee=st.sampled_from([0.0, 0.0005, 0.003, 0.01]),
 )
 
 

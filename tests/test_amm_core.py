@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from splitmev import DomainError, PoolState, apply_swap, marginal_out, spot_price, swap_out
 
-pools = st.builds(
-    PoolState,
-    reserve_x=st.floats(1e2, 1e7),
-    reserve_y=st.floats(1e2, 1e7),
-    fee=st.sampled_from([0.0, 0.0005, 0.003, 0.01]),
-)
+from conftest import pools
 
 # Float64 cannot keep strict order at ulp spacing: adjacent inputs often give
 # the same double, and swap_out can even come out an ulp or two lower. Each

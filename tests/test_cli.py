@@ -90,12 +90,31 @@ def test_optimize_worked_config(tmp_path, configs_dir, capsys):
     assert "plan" in capsys.readouterr().out
 
 
+# one model section of each family with a positive threshold at D = 100
+MODEL_SECTIONS = {
+    "linear": {"family": "linear_clamped", "parameters": {"slope": 0.001}},
+    "power": {"family": "power_concave", "parameters": {"q_max": 500.0, "alpha": 2.0}},
+    "quadratic": {"family": "quadratic_concave", "parameters": {"a": 0.0005, "b": 1e-6}},
+    "table": {"family": "table_interpolated", "parameters": {"qs": [0.0, 100.0, 200.0], "ps": [1.0, 0.9, 0.5]}},
+    "constant": OPTIMIZE_CONFIG["model"],
+}
+
+
 def test_optimize_no_root_exit_code(tmp_path, capsys):
-    cfg = dict(OPTIMIZE_CONFIG)
-    cfg["params"] = {"total_size": 100.0, "cex_price": 1.9, "gas_overhead": 0.0}
-    path = write_json(tmp_path / "cfg.json", cfg)
-    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-    assert "anomaly" in capsys.readouterr().err
+    for name, model in MODEL_SECTIONS.items():
+        cfg = dict(OPTIMIZE_CONFIG, model=model)
+        cfg["params"] = {"total_size": 100.0, "cex_price": 1.9, "gas_overhead": 0.0}
+        path = write_json(tmp_path / f"{name}.json", cfg)
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / name)]) == 3, name
+        assert "anomaly" in capsys.readouterr().err
+
+
+def test_optimize_table_shorter_than_total_size(tmp_path, capsys):
+    short = {"family": "table_interpolated", "parameters": {"qs": [0.0, 50.0], "ps": [1.0, 0.5]}}
+    path = write_json(tmp_path / "cfg.json", dict(OPTIMIZE_CONFIG, model=short))
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "outside declared domain" in err and "Traceback" not in err
 
 
 def test_optimize_rejects_unknown_field(tmp_path, capsys):

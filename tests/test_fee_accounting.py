@@ -199,10 +199,11 @@ def test_csv_rejects_bad_row(tmp_path):
         read_records_csv(bad)
 
 
-@pytest.mark.parametrize("cells", [11, 5])
+@pytest.mark.parametrize("cells", [11, 5, 13])
 def test_csv_rejects_short_row(tmp_path, cells):
-    # csv.DictReader fills the missing trailing cells of a short row with None
-    row = "0x1,2025-05-01,1,0,success,0xa,0xb,10,0,21000,0,base".split(",")
+    # csv.DictReader fills the missing trailing cells of a short row with
+    # None, and files the extra cells of a long one under the key None
+    row = "0x1,2025-05-01,1,0,success,0xa,0xb,10,0,21000,0,base,extra".split(",")
     bad = tmp_path / "short.csv"
     bad.write_text(",".join(TX_RECORD_HEADER) + "\n" + ",".join(row[:cells]) + "\n")
     with pytest.raises(SchemaError, match="line 2: expected 12 cells"):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitmev import (
     ArbParams,
@@ -10,7 +12,10 @@ from splitmev import (
     LinearClamped,
     NoRootError,
     PoolState,
+    PowerConcave,
+    QuadraticConcave,
     SingleSwapOptimal,
+    TableInterpolated,
     brute_force_plan,
     constant_success,
     marginal_benefit,
@@ -22,12 +27,23 @@ from splitmev import (
     threshold,
     total_profit,
 )
-from splitmev.split_optimizer import _residual, profit_curve
+from splitmev.amm_core import marginal_out_unchecked, swap_out_unchecked
+from splitmev.failure_models import from_config
+from splitmev.split_optimizer import _residual, _residual_unchecked, profit_curve
 
-from conftest import compliant_instances
+from conftest import compliant_instances, pools
 
 POOL = PoolState(1000, 2000, 0)
 P_ONE = constant_success()
+
+# one model of each family on which POOL with D = 100 has a positive threshold
+FAMILIES = {
+    "linear": LinearClamped(slope=0.001),
+    "power": PowerConcave(q_max=500.0, alpha=2.0),
+    "quadratic": QuadraticConcave(a=0.0005, b=1e-6),
+    "table": TableInterpolated(qs=(0.0, 100.0, 200.0), ps=(1.0, 0.9, 0.5)),
+    "constant": P_ONE,
+}
 
 
 def test_per_swap_profit_success_branch_only():
@@ -159,8 +175,74 @@ def test_solve_chunk_signals_single_swap():
 
 
 def test_solve_chunk_no_root_at_zero_overhead():
-    with pytest.raises(NoRootError):
-        solve_chunk(POOL, ArbParams(100, 1.9, 0.0), P_ONE)
+    for model in FAMILIES.values():
+        assert threshold(POOL, ArbParams(100, 1.9, 0.0), model) > 0
+        with pytest.raises(NoRootError):
+            solve_chunk(POOL, ArbParams(100, 1.9, 0.0), model)
+
+
+def test_solve_chunk_checks_the_domain_at_total_size():
+    # the bracket is validated once, at q = D; a table ending below D is
+    # outside its declared domain there
+    short = TableInterpolated(qs=(0.0, 50.0), ps=(1.0, 0.5))
+    with pytest.raises(DomainError):
+        solve_chunk(POOL, ArbParams(100, 1.9, 1.0), short)
+
+
+@st.composite
+def models_and_points(draw):
+    """A failure model of any family and a q in its domain. For linear,
+    power and quadratic models about half of the q lie where the floor
+    binds; a table's q is often a knot."""
+    floor = draw(st.sampled_from([1e-6, 0.01]))
+    family = draw(st.sampled_from(["linear", "power", "quadratic", "table", "constant"]))
+    if family == "linear":
+        model = LinearClamped(slope=draw(st.floats(1e-3, 10.0)), floor=floor)
+        span = 2.0 / model.slope
+    elif family == "power":
+        alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
+        model = PowerConcave(q_max=draw(st.floats(1e-2, 1e4)), alpha=alpha, floor=floor)
+        span = 2.0 * model.q_max
+    elif family == "quadratic":
+        model = QuadraticConcave(a=draw(st.floats(0.0, 1.0)), b=draw(st.floats(1e-3, 1.0)), floor=floor)
+        span = 2.0 * (math.sqrt(model.a**2 + 4.0 * model.b) - model.a) / (2.0 * model.b)
+    elif family == "table":
+        n = draw(st.integers(2, 6))
+        steps = draw(st.lists(st.floats(1e-2, 1e3), min_size=n - 1, max_size=n - 1))
+        drops = draw(st.lists(st.floats(0.0, 0.999), min_size=n - 1, max_size=n - 1, unique=True))
+        qs = tuple(float(q) for q in np.cumsum([0.0, *steps]))
+        model = TableInterpolated(qs=qs, ps=(1.0, *sorted(drops, reverse=True)), floor=floor)
+        return model, draw(st.one_of(st.sampled_from(qs), st.floats(0.0, qs[-1])))
+    else:
+        model = from_config("constant", {}, draw(st.sampled_from([None, floor])))
+        span = 1e6
+    return model, draw(st.floats(0.0, span))
+
+
+@given(
+    pools,
+    models_and_points(),
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0),
+)
+@example(POOL, (LinearClamped(slope=0.01), 150.0), 1.9, 1.0, 0.0)  # floor binds
+@example(POOL, (FAMILIES["table"], 100.0), 1.9, 1.0, 2.0)  # interior knot
+@example(POOL, (TableInterpolated(qs=(0.0, 10.0), ps=(1.0, 0.01), floor=0.01), 10.0), 1.9, 1.0, 0.0)  # p == floor
+@example(POOL, (PowerConcave(q_max=3.0, alpha=1.7), 0.1), 1.9, 0.0, 1.0)  # ** and np.power differ
+@settings(max_examples=500)
+def test_scalar_kernels_equal_public_functions(pool, model_and_q, cex_price, gas, phi):
+    # solve_chunk's plain-float kernels must return exactly (==) what the
+    # checked public functions return, so that the bisection sees the same
+    # residual as every other caller
+    model, q = model_and_q
+    assert swap_out_unchecked(pool, q) == swap_out(pool, q)
+    assert marginal_out_unchecked(pool, q) == marginal_out(pool, q)
+    assert model.prob_and_slope_unchecked(q) == (model.prob(q), model.prob_derivative(q))
+    if q > 0:
+        params = ArbParams(q, cex_price, gas, phi)
+        r, rhs = _residual(pool, params, model, q)
+        assert _residual_unchecked(pool, params, model, q) == (float(r), float(rhs))
 
 
 def test_chunk_count_grows_as_overhead_falls():

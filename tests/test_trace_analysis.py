@@ -149,11 +149,14 @@ def deep_chain(levels):
         pytest.param(json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40)) + "\n{not json\n", "Expecting property name", id="bad-jsonl"),
         pytest.param("5", r"\[0\]: expected a JSON object", id="not-an-object"),
         pytest.param(deep_chain(600), "maximum recursion depth", id="too-deep"),
+        pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": "abc"}), "bad depth 'abc'", id="depth-not-int"),
+        pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "children": 5}), "children must be a list", id="children-not-list"),
+        pytest.param(b"\xff\xfe", "can't decode byte 0xff", id="not-utf8"),
     ],
 )
 def test_load_trace_file_input_errors(tmp_path, text, message):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(TraceParseError, match=message):
         load_trace_file(path)
 
