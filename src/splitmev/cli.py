@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -250,34 +251,41 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.Action, ...]]:
+    """The CLI parser and its ``--out`` options, built once per process
+    (building costs about eight times what parsing does)."""
     parser = argparse.ArgumentParser(prog="splitmev")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    default_out = os.environ.get("SPLITMEV_OUT")
-
     p_opt = sub.add_parser("optimize", help="compute the optimal trade split")
     p_opt.add_argument("--config", required=True, type=Path)
-    p_opt.add_argument("--out", type=Path, default=default_out, required=default_out is None)
+    out_opt = p_opt.add_argument("--out", type=Path)
 
     p_sim = sub.add_parser("simulate", help="run a sequencer scenario (file or directory)")
     p_sim.add_argument("--config", required=True, type=Path)
-    p_sim.add_argument("--out", type=Path, default=default_out, required=default_out is None)
+    out_sim = p_sim.add_argument("--out", type=Path)
     p_sim.add_argument("--seed-override", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
     p_ana.add_argument("--traces", required=True, type=Path)
     p_ana.add_argument("--labels", required=True, type=Path)
     p_ana.add_argument("--records", required=True, type=Path)
-    p_ana.add_argument("--out", type=Path, default=default_out, required=default_out is None)
+    out_ana = p_ana.add_argument("--out", type=Path)
     p_ana.add_argument("--min-bot-reverts", type=_positive_int, default=10)
 
-    return parser
+    return parser, (out_opt, out_sim, out_ana)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, out_options = build_parser()
+    # --out defaults to $SPLITMEV_OUT, read on every call; without either
+    # it is a missing required argument
+    default_out = os.environ.get("SPLITMEV_OUT")
+    for option in out_options:
+        option.default, option.required = default_out, default_out is None
+    args = parser.parse_args(argv)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

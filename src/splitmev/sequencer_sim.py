@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -146,6 +147,9 @@ class TxOutcome:
     profit: float
 
 
+_OUTCOME_FIELDS = tuple(f.name for f in fields(TxOutcome))
+
+
 @dataclass(frozen=True)
 class SimReport:
     seed: int
@@ -154,7 +158,11 @@ class SimReport:
     per_bot_profit: dict[str, float]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # the document asdict would give, without its deep copy
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        outcome = attrgetter(*_OUTCOME_FIELDS)
+        doc["outcomes"] = [dict(zip(_OUTCOME_FIELDS, outcome(o))) for o in self.outcomes]
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def order_batch(txs: list[SimTx], policy: str) -> list[SimTx]:
@@ -181,6 +189,18 @@ def execute_tx(pool: PoolState, tx: SimTx) -> tuple[bool, float, PoolState]:
 
 
 def _generate_txs(config: SimConfig, rng: np.random.Generator) -> list[SimTx]:
+    # every opportunity starts from the fresh pool, so a bot's quote for a
+    # size is the same each time: quote each distinct (bot, size) once
+    orders = []
+    for bot in config.bots:
+        # bot demands at least the fresh-pool quote net of its slippage
+        # tolerance, and never less than CEX break-even
+        min_out = {
+            size: max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
+            for size in dict.fromkeys(bot.tx_sizes())
+        }
+        orders.append([(size, min_out[size]) for size in bot.tx_sizes()])
+
     txs: list[SimTx] = []
     seq = 0
     refresh = config.effective_refresh
@@ -190,19 +210,12 @@ def _generate_txs(config: SimConfig, rng: np.random.Generator) -> list[SimTx]:
         if t_k >= config.horizon:
             break
         for bot_id, bot in enumerate(config.bots):
-            for size in bot.tx_sizes():
+            for size, min_out in orders[bot_id]:
                 if bot.latency_jitter > 0:
                     # exponential jitter: nonnegative, no pile-up at zero
                     latency = bot.latency_mean + rng.exponential(bot.latency_jitter)
                 else:
                     latency = bot.latency_mean
-                quoted = swap_out(config.pool, size)
-                # bot demands at least the fresh-pool quote net of its
-                # slippage tolerance, and never less than CEX break-even
-                min_out = max(
-                    quoted * (1.0 - bot.slippage_tolerance),
-                    size * config.cex_price,
-                )
                 txs.append(
                     SimTx(
                         bot_id=bot_id,

@@ -76,10 +76,9 @@ class TraceFrame:
             kind = d.get("call_kind", "call")
             if kind not in CALL_KINDS:
                 raise TraceParseError(f"{path}: unknown call_kind {kind!r}")
-            try:
-                depth = int(d.get("depth", 0))
-            except (TypeError, ValueError, OverflowError):
-                raise TraceParseError(f"{path}: bad depth {d.get('depth')!r}") from None
+            depth = d.get("depth", 0)
+            if type(depth) is not int:  # a JSON integer: not a string, float or bool
+                raise TraceParseError(f"{path}: bad depth {depth!r}")
             if depth < 0:
                 raise TraceParseError(f"{path}: negative depth")
             children = d.get("children", [])

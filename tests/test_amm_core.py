@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitmev import DomainError, PoolState, apply_swap, marginal_out, spot_price, swap_out
+from splitmev.amm_core import _MAX_SIZE_RATIO
 
 from conftest import pools
 
@@ -118,13 +120,19 @@ def test_marginal_matches_finite_differences():
 
 
 @given(pools, st.floats(1e-3, 1e6))
+@example(PoolState(100.0, 794318.0703125, 0), 794321.0703125)
 @settings(max_examples=300)
 def test_zero_fee_product_conservation(pool, q):
     if pool.fee != 0:
         return
     new = apply_swap(pool, q)
-    k0 = pool.reserve_x * pool.reserve_y
-    assert new.reserve_x * new.reserve_y == pytest.approx(k0, rel=1e-12)
+    x, y = pool.reserve_x, pool.reserve_y
+    # dy = yq/(x+q) carries 3 roundings, and y - dy = yx/(x+q) cancels, which
+    # magnifies dy's relative error by dy/(y - dy) = q/x. With the roundings
+    # of x + q, of the subtraction and of both products, the relative error
+    # of the product is at most (1.5q/x + 2) eps <= 2 eps (x+q)/x to first order.
+    tol = 4 * sys.float_info.epsilon * (x + q) / x
+    assert new.reserve_x * new.reserve_y == pytest.approx(x * y, rel=tol)
 
 
 def test_swap_out_bounded_by_reserve():
@@ -138,3 +146,35 @@ def test_vectorized_over_q():
     out = swap_out(pool, qs)
     assert out.shape == (3,)
     assert out[0] == swap_out(pool, 1.0)
+
+
+def _result_or_error(fn, pool, q):
+    try:
+        return fn(pool, q)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# sizes that hit every check: NaN, +-inf, +-0, negatives, the precision
+# guard on either side of its edge (pools have reserve_x in [1e2, 1e7])
+odd_sizes = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300, 5e-324, 1e20, _MAX_SIZE_RATIO * 1e2]
+)
+
+
+@given(pools, st.one_of(st.floats(), odd_sizes))
+@example(PoolState(1e2, 1e2, 0), _MAX_SIZE_RATIO * 1e2)
+@example(PoolState(1e2, 1e2, 0), math.nextafter(_MAX_SIZE_RATIO * 1e2, math.inf))
+@example(PoolState(1e3, 2e3, 0.003), 0.0)
+@settings(max_examples=500)
+def test_float_fast_path_matches_array_path(pool, q):
+    """A float size, an np.float64 and a 0-d array give equal results and
+    equal DomainError messages, and a scalar size gives a Python float."""
+    for fn in (swap_out, marginal_out, apply_swap):
+        results = [_result_or_error(fn, pool, v) for v in (q, np.float64(q), np.asarray(q))]
+        assert results[0] == results[1] == results[2]
+        if fn is not apply_swap:
+            assert {type(r) for r in results} <= {str, float}
+    if q == 0:  # allowed by swap_out and marginal_out, not by apply_swap
+        assert _result_or_error(swap_out, pool, q) == 0.0
+        assert _result_or_error(apply_swap, pool, q) == "DomainError: trade size must be positive and finite"

@@ -335,3 +335,18 @@ def test_out_dir_from_environment(tmp_path, configs_dir, monkeypatch):
     rc = main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json")])
     assert rc == 0
     assert (out / "plan.json").exists()
+
+
+def test_out_dir_environment_read_on_every_call(tmp_path, configs_dir, monkeypatch, capsys):
+    argv = ["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json")]
+    for name in ("first", "second"):
+        monkeypatch.setenv("SPLITMEV_OUT", str(tmp_path / name))
+        assert main(argv) == 0
+        assert (tmp_path / name / "plan.json").exists()
+    monkeypatch.delenv("SPLITMEV_OUT")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "third")]) == 0
+    assert (tmp_path / "third" / "plan.json").exists()

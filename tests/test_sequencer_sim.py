@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -315,3 +316,44 @@ def test_jitter_arrivals_have_no_zero_pileup():
     arrivals = np.array([o.arrival_time - 0.25 * (o.submission_seq) for o in run(config).outcomes])
     assert np.all(arrivals > 0)
     assert np.mean(arrivals) == pytest.approx(0.5, rel=0.15)
+
+
+# sha256 of run(config).to_json(), recorded before the report was built
+# without asdict and before the float fast path of swap_out
+GOLDEN_REPORTS = {
+    "blocktime_fast.json": "15c04577a3784c17ab3fb022d8d1921dbbda8bae773d9d40c35e69430475ae0d",
+    "blocktime_slow.json": "eb6d9a72e9243c3e65ded65320316a83b92f151345cc546b29317200132fb8a9",
+    "fcfs_duplicates.json": "735df7367b12af1207b078de142fa5ac85b8a3a14093dec9d11a172310921045",
+    "pfa_latency_race.json": "8062409f82d251b7ab388141e7467251403a6ed609651a9dc917eecb358f63c6",
+    "jittered": "39d9e3eaacd3fca25e52c8995eebdfe17ebafb86adea5776354eb19b6d4a4229",
+}
+
+# all four strategies with latency jitter, slippage, priority fees, batches
+# within blocks and a refreshing opportunity (112 txs, 57 reverted)
+JITTERED = SimConfig(
+    block_time=0.25,
+    pool=PoolState(50_000.0, 100_000.0, 0.003),
+    cex_price=1.9,
+    horizon=6.0,
+    opportunity_refresh=0.75,
+    ordering="pfa_within_batch",
+    batch_window=0.1,
+    gas_overhead=0.02,
+    liquidation_penalty=0.3,
+    seed=17,
+    bots=(
+        BotSpec("single", "single_shot", 60.0, priority_fee=0.5, latency_mean=0.05, latency_jitter=0.1, slippage_tolerance=0.002),
+        BotSpec("split", "split_n", 80.0, n_chunks=4, latency_mean=0.02, latency_jitter=0.15),
+        BotSpec("dup", "duplicate_k", 40.0, k_copies=3, priority_fee=1.0, latency_mean=0.1, latency_jitter=0.3, slippage_tolerance=0.01),
+        BotSpec("both", "split_and_duplicate", 90.0, n_chunks=3, k_copies=2, latency_jitter=0.2, slippage_tolerance=0.005),
+    ),
+)
+
+
+def test_reports_match_golden_digests(scenarios_dir):
+    configs = {p.name: SimConfig.from_dict(json.loads(p.read_text())) for p in sorted(scenarios_dir.glob("*.json"))}
+    configs["jittered"] = JITTERED
+    assert sorted(configs) == sorted(GOLDEN_REPORTS)
+    for name, config in configs.items():
+        digest = hashlib.sha256(run(config).to_json().encode()).hexdigest()
+        assert digest == GOLDEN_REPORTS[name], name

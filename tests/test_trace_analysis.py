@@ -150,6 +150,9 @@ def deep_chain(levels):
         pytest.param("5", r"\[0\]: expected a JSON object", id="not-an-object"),
         pytest.param(deep_chain(600), "maximum recursion depth", id="too-deep"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": "abc"}), "bad depth 'abc'", id="depth-not-int"),
+        pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": "1"}), "bad depth '1'", id="depth-string"),
+        pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": 2.9}), "bad depth 2.9", id="depth-float"),
+        pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": True}), "bad depth True", id="depth-bool"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "children": 5}), "children must be a list", id="children-not-list"),
         pytest.param(b"\xff\xfe", "can't decode byte 0xff", id="not-utf8"),
     ],
