@@ -35,7 +35,6 @@ from .split_optimizer import DEFAULT_REL_TOL, ArbParams, NoRootError, plan, prof
 from .trace_analysis import (
     TraceParseError,
     breakdown,
-    build_graph,
     classify_swap,
     identify_bots,
     load_trace_file,
@@ -179,8 +178,7 @@ def cmd_analyze(
     classified = []
     rows = []
     for path in sorted(traces_dir.glob("*.json")):
-        for frame in load_trace_file(path):
-            graph = build_graph(frame)
+        for graph in load_trace_file(path):
             cls = classify_swap(graph, labels)
             tx_hash = path.stem
             rows.append({"tx_hash": tx_hash, **cls.to_dict()})

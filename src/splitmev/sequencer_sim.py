@@ -243,7 +243,7 @@ def run(config: SimConfig) -> SimReport:
     bt = config.block_time
     by_block: dict[int, list[SimTx]] = {}
     for tx in txs:
-        block = max(1, math.ceil(tx.arrival_time / bt))
+        block = int(tx.arrival_time // bt) + 1
         by_block.setdefault(block, []).append(tx)
 
     refresh = config.effective_refresh

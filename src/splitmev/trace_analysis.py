@@ -2,13 +2,16 @@
 transactions.
 
 Reverted transactions emit no event logs, so classification works purely
-on the call tree: build a graph of addresses and call edges, then match
-nodes against a per-chain label library. v2/v3 swaps are recognized by a
-call into a labeled pool; v4 routes everything through a single pool
-manager, so recognition additionally requires call/staticcall probes into
-at least two distinct labeled token contracts. The classifier never
-reports a swap without pool or pool-manager evidence, so swap shares are
-lower bounds by construction.
+on the call tree. ``build_graph`` validates a decoded tree while it
+collects the graph of addresses and call edges, rejecting inexact
+addresses and calls more than ``MAX_CALL_DEPTH`` deep; ``load_trace_file``
+returns one graph per tree in a file. ``classify_swap`` matches nodes
+against a per-chain label library. v2/v3 swaps are recognized by a call
+into a labeled pool; v4 routes everything through a single pool manager,
+so recognition additionally requires call/staticcall probes into at least
+two distinct labeled token contracts. The classifier never reports a swap
+without pool or pool-manager evidence, so swap shares are lower bounds by
+construction.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .fee_accounting import SchemaError, TxRecord
 
 __all__ = [
-    "TraceFrame",
     "ExecutionGraph",
     "LabelEntry",
     "LabelLibrary",
@@ -41,7 +44,8 @@ CALL_KINDS = ("call", "delegatecall", "staticcall", "create")
 POOL_KINDS = {"pool_v2": "v2", "pool_v3": "v3"}
 INFRA_KINDS = {"router", "pool_v2", "pool_v3", "pool_manager_v4"}
 
-_ADDR_RE = re.compile(r"^0x[0-9a-f]{40}$")
+_ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch
+MAX_CALL_DEPTH = 1024
 
 LABEL_HEADER = ["address", "kind", "dex", "pair", "fee_tier", "owner_label", "has_code"]
 
@@ -52,56 +56,9 @@ class TraceParseError(ValueError):
 
 def _norm_address(addr: str, path: str) -> str:
     a = str(addr).lower()
-    if not _ADDR_RE.match(a):
+    if not _ADDR_RE.fullmatch(a):
         raise TraceParseError(f"{path}: bad address {addr!r}")
     return a
-
-
-@dataclass(frozen=True)
-class TraceFrame:
-    """One call frame; children are nested subcalls in execution order."""
-
-    from_address: str
-    to_address: str
-    call_kind: str
-    depth: int
-    selector: str | None = None
-    children: tuple["TraceFrame", ...] = ()
-
-    @classmethod
-    def from_dict(cls, d: dict, path: str = "root") -> "TraceFrame":
-        if not isinstance(d, dict):
-            raise TraceParseError(f"{path}: expected a JSON object")
-        try:
-            kind = d.get("call_kind", "call")
-            if kind not in CALL_KINDS:
-                raise TraceParseError(f"{path}: unknown call_kind {kind!r}")
-            depth = d.get("depth", 0)
-            if type(depth) is not int:  # a JSON integer: not a string, float or bool
-                raise TraceParseError(f"{path}: bad depth {depth!r}")
-            if depth < 0:
-                raise TraceParseError(f"{path}: negative depth")
-            children = d.get("children", [])
-            if not isinstance(children, list):
-                raise TraceParseError(f"{path}: children must be a list, got {children!r}")
-            frame = cls(
-                from_address=_norm_address(d["from_address"], path),
-                to_address=_norm_address(d["to_address"], path),
-                call_kind=kind,
-                depth=depth,
-                selector=str(d["selector"]).lower() if d.get("selector") else None,
-                children=tuple(
-                    cls.from_dict(c, f"{path}.children[{i}]") for i, c in enumerate(children)
-                ),
-            )
-        except KeyError as exc:
-            raise TraceParseError(f"{path}: missing field {exc}") from exc
-        for i, child in enumerate(frame.children):
-            if child.depth != frame.depth + 1:
-                raise TraceParseError(
-                    f"{path}.children[{i}]: depth {child.depth} != parent depth + 1"
-                )
-        return frame
 
 
 @dataclass(frozen=True)
@@ -122,19 +79,42 @@ class ExecutionGraph:
     root: str
 
 
-def build_graph(frame: TraceFrame) -> ExecutionGraph:
+def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
+    """Validate a decoded call tree and collect its graph, in one pre-order pass."""
     nodes: set[str] = set()
     edges: list[Edge] = []
-
-    def visit(f: TraceFrame):
-        nodes.add(f.from_address)
-        nodes.add(f.to_address)
-        edges.append(Edge(f.from_address, f.to_address, f.selector, f.call_kind))
-        for child in f.children:
-            visit(child)
-
-    visit(frame)
-    return ExecutionGraph(nodes=frozenset(nodes), edges=tuple(edges), root=frame.to_address)
+    # (frame, its path, its parent's depth or None at the root, calls below the root)
+    stack = [(tree, path, None, 0)]
+    while stack:
+        d, path, parent_depth, level = stack.pop()
+        if not isinstance(d, dict):
+            raise TraceParseError(f"{path}: expected a JSON object")
+        kind = d.get("call_kind", "call")
+        if kind not in CALL_KINDS:
+            raise TraceParseError(f"{path}: unknown call_kind {kind!r}")
+        depth = d.get("depth", 0)
+        if type(depth) is not int:  # a JSON integer: not a string, float or bool
+            raise TraceParseError(f"{path}: bad depth {depth!r}")
+        if depth < 0:
+            raise TraceParseError(f"{path}: negative depth")
+        children = d.get("children", [])
+        if not isinstance(children, list):
+            raise TraceParseError(f"{path}: children must be a list, got {children!r}")
+        try:
+            caller = _norm_address(d["from_address"], path)
+            callee = _norm_address(d["to_address"], path)
+        except KeyError as exc:
+            raise TraceParseError(f"{path}: missing field {exc}") from exc
+        if parent_depth is not None and depth != parent_depth + 1:
+            raise TraceParseError(f"{path}: depth {depth} != parent depth + 1")
+        if level > MAX_CALL_DEPTH:
+            raise TraceParseError(f"{path}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
+        nodes.update((caller, callee))
+        selector = str(d["selector"]).lower() if d.get("selector") else None
+        edges.append(Edge(caller, callee, selector, kind))
+        for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
+            stack.append((children[i], f"{path}.children[{i}]", depth, level + 1))
+    return ExecutionGraph(nodes=frozenset(nodes), edges=tuple(edges), root=edges[0].callee)
 
 
 @dataclass(frozen=True)
@@ -167,7 +147,7 @@ def read_labels_csv(path) -> LabelLibrary:
             raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
         for i, row in enumerate(reader, start=2):
             addr = row["address"].lower()
-            if not _ADDR_RE.match(addr):
+            if not _ADDR_RE.fullmatch(addr):
                 raise SchemaError(f"{path} line {i}: bad address {row['address']!r}")
             lib.add(
                 LabelEntry(
@@ -306,20 +286,24 @@ def breakdown(
     return tables
 
 
-def load_trace_file(path) -> list[TraceFrame]:
-    """Read one trace JSON file: either a single call tree or JSON-lines
-    with one tree per line."""
+def load_trace_file(path) -> list[ExecutionGraph]:
+    """Read one trace JSON file, either a single call tree or JSON lines
+    with one tree per line, and build the execution graph of each tree."""
+    limit = sys.getrecursionlimit()
+    # the C decoder recurses once per JSON level: two per frame (the object
+    # and its children list), plus one for a JSON-lines or array wrapper
+    sys.setrecursionlimit(limit + 2 * (MAX_CALL_DEPTH + 1) + 1)
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read().strip()
-        if not text:
-            return []
         try:
-            doc = json.loads(text)
+            doc = json.loads(text) if text else []
             docs = doc if isinstance(doc, list) else [doc]
         except json.JSONDecodeError:
             docs = [json.loads(line) for line in text.splitlines() if line.strip()]
-        return [TraceFrame.from_dict(d, path=f"{path}[{i}]") for i, d in enumerate(docs)]
     # not UTF-8, not JSON (lines), or nested too deeply
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TraceParseError(f"{path}: {exc}") from exc
+    finally:
+        sys.setrecursionlimit(limit)
+    return [build_graph(d, f"{path}[{i}]") for i, d in enumerate(docs)]

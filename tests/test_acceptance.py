@@ -17,7 +17,6 @@ from splitmev import (
     PoolState,
     SimConfig,
     brute_force_plan,
-    build_graph,
     classify_swap,
     decompose,
     identify_bots,
@@ -254,8 +253,8 @@ def test_criterion_7_trace_fixture_corpus(fixtures_dir):
     correct = 0
     paths = sorted((fixtures_dir / "traces").glob("*.json"))
     for path in paths:
-        (tree,) = load_trace_file(path)
-        got = classify_swap(build_graph(tree), labels).to_dict()
+        (graph,) = load_trace_file(path)
+        got = classify_swap(graph, labels).to_dict()
         want = expected[path.stem]
         if {k: got[k] for k in want} == want:
             correct += 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -318,6 +319,24 @@ def test_analyze_bad_label_header(tmp_path, fixtures_dir, capsys):
     )
     assert rc == 2
     assert "header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_file", ["trace", "labels"])
+def test_analyze_rejects_address_with_trailing_newline(tmp_path, fixtures_dir, capsys, bad_file):
+    address = "0x" + "a" * 40 + "\n"
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    to = address if bad_file == "trace" else "0x" + "b" * 40
+    write_json(traces / "t.json", {"from_address": "0x" + "c" * 40, "to_address": to})
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes((fixtures_dir / "labels.csv").read_bytes())
+    if bad_file == "labels":
+        with open(labels, "a", newline="") as fh:
+            csv.writer(fh).writerow([address, "router", "uniswap", "", "", "", "true"])
+    argv = ["analyze", "--traces", str(traces), "--labels", str(labels)]
+    argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "bad address '0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\\n'" in capsys.readouterr().err
 
 
 def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsys):

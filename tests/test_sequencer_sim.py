@@ -206,6 +206,30 @@ def test_opportunity_refresh_restores_pool():
     assert refreshed["reverts"] == 4
 
 
+def lone_bot(refresh):
+    """(reverts, transactions) of a lone single_shot bot with zero latency,
+    jitter and slippage on 0.25 s blocks: it has no competitor, so every
+    revert comes from how the simulator models time."""
+    bot = BotSpec(name="a", strategy="single_shot", trade_size=10.0)
+    metrics = summarize(run(base_config(bots=(bot,), horizon=5.0, opportunity_refresh=refresh)))
+    return metrics["reverts"], metrics["total_txs"]
+
+
+@pytest.mark.parametrize("refresh, txs", [(0.25, 20), (0.5, 10)])
+def test_arrival_on_a_block_boundary_sees_the_refreshed_pool(refresh, txs):
+    # blocks are half-open: an arrival at exactly k * block_time lands in the
+    # block starting then, after that block's pool reset
+    assert lone_bot(refresh) == (0, txs)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1, cause 2: a refresh inside a block resets the pool only at the next block's start",
+)
+def test_refresh_inside_a_block_sees_the_refreshed_pool():
+    assert lone_bot(0.6) == (0, 9)
+
+
 def test_slippage_tolerance_absorbs_drift():
     # with a generous tolerance the follow-up copy still clears CEX
     # break-even and succeeds

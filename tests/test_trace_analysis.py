@@ -1,12 +1,14 @@
 import datetime as dt
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitmev import (
     LabelLibrary,
     SchemaError,
-    TraceFrame,
     TraceParseError,
     TxRecord,
     breakdown,
@@ -16,7 +18,8 @@ from splitmev import (
     load_trace_file,
     read_labels_csv,
 )
-from splitmev.trace_analysis import LabelEntry
+from splitmev.cli import main
+from splitmev.trace_analysis import CALL_KINDS, Edge, LabelEntry
 
 ROUTER = "0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa01"
 POOL_V3 = "0xbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb02"
@@ -49,16 +52,15 @@ def test_corpus_classifications(fixtures_dir, labels, expected):
     paths = sorted((fixtures_dir / "traces").glob("*.json"))
     assert len(paths) == 20
     for path in paths:
-        (tree,) = load_trace_file(path)
-        result = classify_swap(build_graph(tree), labels)
+        (graph,) = load_trace_file(path)
+        result = classify_swap(graph, labels)
         want = expected[path.stem]
         got = result.to_dict()
         assert {k: got[k] for k in want} == want, path.stem
 
 
 def test_graph_structure(fixtures_dir):
-    (tree,) = load_trace_file(fixtures_dir / "traces" / "t02_v3_swap_revert.json")
-    graph = build_graph(tree)
+    (graph,) = load_trace_file(fixtures_dir / "traces" / "t02_v3_swap_revert.json")
     assert len(graph.nodes) == 5
     assert len(graph.edges) == 4
     assert graph.root == ROUTER
@@ -70,7 +72,7 @@ def test_graph_structure(fixtures_dir):
 def test_edges_are_a_multiset():
     # the same B -> C call made twice must yield two edges
     a, b, c = (f"0x{ch * 40}" for ch in "abc")
-    tree = TraceFrame.from_dict(
+    graph = build_graph(
         frame(
             a,
             b,
@@ -80,15 +82,14 @@ def test_edges_are_a_multiset():
             ],
         )
     )
-    graph = build_graph(tree)
     assert len(graph.edges) == 3
     assert len(graph.nodes) == 3
     assert graph.edges[1] == graph.edges[2]
 
 
 def test_multihop_first_touch_wins(fixtures_dir, labels):
-    (tree,) = load_trace_file(fixtures_dir / "traces" / "t08_v3_multihop.json")
-    result = classify_swap(build_graph(tree), labels)
+    (graph,) = load_trace_file(fixtures_dir / "traces" / "t08_v3_multihop.json")
+    result = classify_swap(graph, labels)
     assert result.pool == "0xbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb01"
     # both pool touches stay in the evidence trail
     pool_lines = [e for e in result.evidence if "pool 0xbb" in e]
@@ -96,26 +97,26 @@ def test_multihop_first_touch_wins(fixtures_dir, labels):
 
 
 def test_staticcall_to_pool_is_not_a_swap(labels):
-    tree = TraceFrame.from_dict(
+    graph = build_graph(
         frame(SENDER, ROUTER, children=[frame(ROUTER, POOL_V3, kind="staticcall", depth=1)])
     )
-    assert not classify_swap(build_graph(tree), labels).is_swap
+    assert not classify_swap(graph, labels).is_swap
 
 
 def test_v4_pair_is_sorted_symbols(fixtures_dir, labels):
-    (tree,) = load_trace_file(fixtures_dir / "traces" / "t10_v4_swap_wbtc_weth.json")
-    result = classify_swap(build_graph(tree), labels)
+    (graph,) = load_trace_file(fixtures_dir / "traces" / "t10_v4_swap_wbtc_weth.json")
+    result = classify_swap(graph, labels)
     assert result.pair == "WBTC-WETH"
     assert result.dex == "uniswap_v4"
 
 
 def test_trace_parse_errors():
     with pytest.raises(TraceParseError, match="bad address"):
-        TraceFrame.from_dict(frame("0x12", "0x" + "a" * 40))
+        build_graph(frame("0x12", "0x" + "a" * 40))
     with pytest.raises(TraceParseError, match="call_kind"):
-        TraceFrame.from_dict(frame("0x" + "a" * 40, "0x" + "b" * 40, kind="jump"))
+        build_graph(frame("0x" + "a" * 40, "0x" + "b" * 40, kind="jump"))
     with pytest.raises(TraceParseError, match=r"children\[0\]"):
-        TraceFrame.from_dict(
+        build_graph(
             frame(
                 "0x" + "a" * 40,
                 "0x" + "b" * 40,
@@ -123,7 +124,7 @@ def test_trace_parse_errors():
             )
         )
     with pytest.raises(TraceParseError, match="missing field"):
-        TraceFrame.from_dict({"from_address": "0x" + "a" * 40})
+        build_graph({"from_address": "0x" + "a" * 40})
 
 
 def test_load_trace_file_jsonl(tmp_path):
@@ -136,11 +137,13 @@ def test_load_trace_file_jsonl(tmp_path):
     assert load_trace_file(empty) == []
 
 
-def deep_chain(levels):
-    """JSON text of a call chain ``levels`` frames deep."""
+def deep_chain(levels, bottom="0x" + "a" * 40):
+    """JSON text of a call chain ``levels`` frames deep whose deepest call
+    goes to ``bottom``."""
     a = "0x" + "a" * 40
     head = '{"from_address": "%s", "to_address": "%s", "depth": %d, "children": ['
-    return "".join(head % (a, a, d) for d in range(levels)) + "]}" * levels
+    frames = (head % (a, a if d < levels - 1 else bottom, d) for d in range(levels))
+    return "".join(frames) + "]}" * levels
 
 
 @pytest.mark.parametrize(
@@ -148,7 +151,9 @@ def deep_chain(levels):
     [
         pytest.param(json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40)) + "\n{not json\n", "Expecting property name", id="bad-jsonl"),
         pytest.param("5", r"\[0\]: expected a JSON object", id="not-an-object"),
-        pytest.param(deep_chain(600), "maximum recursion depth", id="too-deep"),
+        pytest.param(deep_chain(5000), "maximum recursion depth", id="too-deep"),
+        pytest.param(deep_chain(1026), r"\[0\](\.children\[0\]){1025}: call depth 1025 exceeds the EVM's 1024", id="past-evm-depth"),
+        pytest.param(json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40 + "\n")), r"bad address '0x(b){40}\\n'", id="address-newline"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": "abc"}), "bad depth 'abc'", id="depth-not-int"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": "1"}), "bad depth '1'", id="depth-string"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": 2.9}), "bad depth 2.9", id="depth-float"),
@@ -160,8 +165,67 @@ def deep_chain(levels):
 def test_load_trace_file_input_errors(tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    limit = sys.getrecursionlimit()
     with pytest.raises(TraceParseError, match=message):
         load_trace_file(path)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_evm_depth_chain_loads_and_classifies(tmp_path, fixtures_dir, labels, capsys):
+    # 1,025 frames: the root plus the EVM's 1,024 nested calls
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / "deep.json").write_text(deep_chain(1025, bottom=POOL_V3))
+    limit = sys.getrecursionlimit()
+    (graph,) = load_trace_file(traces / "deep.json")
+    assert sys.getrecursionlimit() == limit
+    assert len(graph.edges) == 1025
+    assert classify_swap(graph, labels).pool == POOL_V3
+    argv = ["--quiet", "analyze", "--traces", str(traces), "--labels", str(fixtures_dir / "labels.csv")]
+    argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    (traces / "deep.json").write_text(deep_chain(1026))
+    assert main(argv) == 2
+    assert "call depth 1025 exceeds the EVM's 1024" in capsys.readouterr().err
+
+
+ADDRESSES = st.sampled_from(["0x" + ch * 40 for ch in "abc"] + ["0x" + "D" * 40])
+
+
+@st.composite
+def call_trees(draw, depth, levels):
+    """A valid decoded call tree; optional fields are sometimes left out."""
+    tree = {"from_address": draw(ADDRESSES), "to_address": draw(ADDRESSES), "depth": depth}
+    kind = draw(st.sampled_from(CALL_KINDS + (None,)))
+    if kind is not None:
+        tree["call_kind"] = kind
+    selector = draw(st.sampled_from([None, "", "0x128acb08", "0xABCDEF01"]))
+    if selector is not None:
+        tree["selector"] = selector
+    if levels and draw(st.booleans()):
+        tree["children"] = draw(st.lists(call_trees(depth + 1, levels - 1), max_size=3))
+    return tree
+
+
+def reference_graph(tree):
+    """Recursive pre-order walk: (edges, nodes, root) of a valid tree."""
+    edges = []
+
+    def visit(d):
+        selector = str(d["selector"]).lower() if d.get("selector") else None
+        edges.append(Edge(d["from_address"].lower(), d["to_address"].lower(), selector, d.get("call_kind", "call")))
+        for child in d.get("children", []):
+            visit(child)
+
+    visit(tree)
+    return tuple(edges), frozenset(a for e in edges for a in (e.caller, e.callee)), edges[0].callee
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3).flatmap(lambda depth: call_trees(depth, 4)))
+def test_build_graph_matches_recursive_reference(tree):
+    graph = build_graph(tree)
+    assert (graph.edges, graph.nodes, graph.root) == reference_graph(tree)
 
 
 def test_labels_csv_bad_header(tmp_path):
@@ -260,8 +324,8 @@ def test_identify_bots_fixture(fixtures_dir, labels):
 def test_breakdown_counts_and_ties(fixtures_dir, labels, expected):
     pairs = []
     for path in sorted((fixtures_dir / "traces").glob("*.json")):
-        (tree,) = load_trace_file(path)
-        pairs.append((classify_swap(build_graph(tree), labels), _record("0x" + "e" * 40)))
+        (graph,) = load_trace_file(path)
+        pairs.append((classify_swap(graph, labels), _record("0x" + "e" * 40)))
     tables = breakdown(pairs, k=3)
     # 10 swaps: 5 v3 uniswap, 1 v2 uniswap, 1 v2 sushi, 3 v4 uniswap
     assert tables["dex"][0] == ("uniswap_v3", 5, 0.5)
