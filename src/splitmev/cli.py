@@ -51,10 +51,11 @@ def _log(quiet: bool, msg: str):
         print(msg)
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path) -> tuple[dict, bytes]:
+    """The parsed document and the bytes it was parsed from, read once."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        raw = path.read_bytes()
+        return json.loads(raw.decode("utf-8")), raw
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -103,7 +104,8 @@ class OptimizeConfig:
 
 
 def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
-    cfg = build(OptimizeConfig, _load_json(config_path))
+    doc, raw = _load_json(config_path)
+    cfg = build(OptimizeConfig, doc)
     model = model_from_config(cfg.model.family, cfg.model.parameters, cfg.model.floor)
     result = plan(cfg.pool, cfg.params, model, rel_tol=cfg.rel_tol)
 
@@ -114,13 +116,14 @@ def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_csv(out_dir / "profit_curve.csv", ["n", "expected_total_profit"], curve)
-    _write_manifest(out_dir, "optimize", {"config": str(config_path)}, config_path.read_bytes())
+    _write_manifest(out_dir, "optimize", {"config": str(config_path)}, raw)
     _log(quiet, f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}")
     return EXIT_OK
 
 
 def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool):
-    config = SimConfig.from_dict(_load_json(config_path))
+    doc, raw = _load_json(config_path)
+    config = SimConfig.from_dict(doc)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     report = run(config)
@@ -142,7 +145,7 @@ def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, q
         ["bot", "profit"],
         sorted(metrics["per_bot_profit"].items()),
     )
-    _write_manifest(out_dir, "simulate", {"config": str(config_path)}, config_path.read_bytes())
+    _write_manifest(out_dir, "simulate", {"config": str(config_path)}, raw)
     _log(
         quiet,
         f"{config_path.name}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}",
@@ -177,7 +180,8 @@ def cmd_analyze(
 
     classified = []
     rows = []
-    for path in sorted(traces_dir.glob("*.json")):
+    # by name: the same order as by path within one directory, and cheaper
+    for path in sorted(traces_dir.glob("*.json"), key=lambda p: p.name):
         for graph in load_trace_file(path):
             cls = classify_swap(graph, labels)
             tx_hash = path.stem

@@ -1,11 +1,14 @@
 """Discrete-event simulation of a fast-finality sequencer.
 
-Bots race to capture a recurring AMM mispricing through a private mempool.
-The sequencer closes a block every ``block_time`` seconds and orders each
-batch window either first-come-first-served or by priority fee. Reverts
-are deterministic: a transaction fails when the pool has drifted past its
-minimum-out bound (set from the fresh opportunity), never by coin flip, so
-larger and later swaps fail more, endogenously.
+Bots race to capture an AMM mispricing, renewed at each k * refresh below
+the horizon, through a private mempool. The sequencer closes a block every
+``block_time`` seconds and orders each batch, the arrivals of one block,
+opportunity and batch window, first-come-first-served or by priority fee,
+so an arrival at or after a refresh sees the fresh pool, even mid-block.
+Positions count through the block. Reverts are deterministic: a
+transaction fails when the pool has drifted past its minimum-out bound
+(set from the fresh opportunity), never by coin flip, so larger and later
+swaps fail more, endogenously.
 
 The CEX leg is pre-committed at a fixed price and always settles, so a
 reverted AMM leg strands inventory at the liquidation penalty. Gas is a
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import count, takewhile
 from operator import attrgetter
 
 import numpy as np
@@ -92,7 +97,7 @@ class SimConfig:
 
     def __post_init__(self):
         require(self.block_time > 0, "block_time", "must be positive")
-        require(self.horizon >= self.block_time, "horizon", "must be >= block_time")
+        require(self.block_time <= self.horizon < math.inf, "horizon", "must be finite and >= block_time")
         require(len(self.bots) >= 1, "bots", "need at least one bot")
         require(self.ordering in ORDERINGS, "ordering", f"must be one of {ORDERINGS}")
         require(self.cex_price > 0, "cex_price", "must be positive")
@@ -100,7 +105,7 @@ class SimConfig:
         if self.batch_window is not None:
             require(self.batch_window >= 0, "batch_window", "must be nonnegative")
         if self.opportunity_refresh is not None:
-            require(self.opportunity_refresh > 0, "opportunity_refresh", "must be positive")
+            require(0 < self.opportunity_refresh < math.inf, "opportunity_refresh", "must be positive and finite")
         require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
         require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
 
@@ -188,7 +193,13 @@ def execute_tx(pool: PoolState, tx: SimTx) -> tuple[bool, float, PoolState]:
     return False, 0.0, pool
 
 
-def _generate_txs(config: SimConfig, rng: np.random.Generator) -> list[SimTx]:
+def _opportunity_times(config: SimConfig) -> list[float]:
+    """Start of every opportunity: k * refresh for each k with k * refresh < horizon."""
+    refresh = config.effective_refresh
+    return list(takewhile(lambda t: t < config.horizon, (k * refresh for k in count())))
+
+
+def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.Generator) -> list[SimTx]:
     # every opportunity starts from the fresh pool, so a bot's quote for a
     # size is the same each time: quote each distinct (bot, size) once
     orders = []
@@ -203,12 +214,7 @@ def _generate_txs(config: SimConfig, rng: np.random.Generator) -> list[SimTx]:
 
     txs: list[SimTx] = []
     seq = 0
-    refresh = config.effective_refresh
-    n_opps = max(1, math.ceil(config.horizon / refresh))
-    for k in range(n_opps):
-        t_k = k * refresh
-        if t_k >= config.horizon:
-            break
+    for t_k in opportunities:
         for bot_id, bot in enumerate(config.bots):
             for size, min_out in orders[bot_id]:
                 if bot.latency_jitter > 0:
@@ -237,46 +243,29 @@ def run(config: SimConfig) -> SimReport:
     Every submitted transaction is included exactly once in some block (the
     sequencer never drops) and marked success or reverted.
     """
-    rng = np.random.default_rng(config.seed)
-    txs = _generate_txs(config, rng)
+    opportunities = _opportunity_times(config)
+    txs = _generate_txs(config, opportunities, np.random.default_rng(config.seed))
 
     bt = config.block_time
-    by_block: dict[int, list[SimTx]] = {}
+    bw = config.effective_batch_window
+    policy = "fcfs" if bw <= 0 else config.ordering
+    batches: dict[tuple[int, int, int], list[SimTx]] = {}
     for tx in txs:
-        block = int(tx.arrival_time // bt) + 1
-        by_block.setdefault(block, []).append(tx)
+        t = tx.arrival_time
+        block = int(t // bt) + 1
+        window = int((t - (block - 1) * bt) // bw) if bw > 0 else 0
+        batches.setdefault((block, bisect_right(opportunities, t), window), []).append(tx)
 
-    refresh = config.effective_refresh
-    refresh_times = [k * refresh for k in range(max(1, math.ceil(config.horizon / refresh)))]
-    next_refresh = 0
-
-    pool = config.pool
     outcomes: list[TxOutcome] = []
     per_bot = {bot.name: 0.0 for bot in config.bots}
-    max_block = max(by_block) if by_block else 0
-
-    for block in range(1, max_block + 1):
-        block_start = (block - 1) * bt
-        # an opportunity landing at or before the block start resets the
-        # pool before this block's transactions execute
-        while next_refresh < len(refresh_times) and refresh_times[next_refresh] <= block_start:
-            pool = config.pool
-            next_refresh += 1
-
-        arrivals = by_block.get(block, [])
-        bw = config.effective_batch_window
-        if bw <= 0:
-            ordered = order_batch(arrivals, "fcfs")
-        else:
-            batches: dict[int, list[SimTx]] = {}
-            for tx in arrivals:
-                idx = int((tx.arrival_time - block_start) // bw)
-                batches.setdefault(idx, []).append(tx)
-            ordered = []
-            for idx in sorted(batches):
-                ordered.extend(order_batch(batches[idx], config.ordering))
-
-        for position, tx in enumerate(ordered):
+    pool, block, opp = config.pool, 0, 0
+    for key, batch in sorted(batches.items()):
+        if key[0] != block:
+            block, position = key[0], 0
+        if key[1] != opp:
+            # the batch opens a new opportunity: the pool is fresh again
+            opp, pool = key[1], config.pool
+        for tx in order_batch(batch, policy):
             success, payout, pool = execute_tx(pool, tx)
             if success:
                 profit = payout - config.cex_price * tx.size - config.gas_overhead
@@ -303,10 +292,11 @@ def run(config: SimConfig) -> SimReport:
                     profit=profit,
                 )
             )
+            position += 1
 
     return SimReport(
         seed=config.seed,
-        num_blocks=max_block,
+        num_blocks=block,
         outcomes=tuple(outcomes),
         per_bot_profit=per_bot,
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -62,6 +63,9 @@ MALFORMED_CONFIGS = {
     "opt-pool-check": ("optimize", edited(OPT, pool=edited(OPT["pool"], reserve_x=0.0)), "config.pool"),
     "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.5)), "config.model.floor"),
     "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
+    # JSON's Infinity: no end to the opportunity schedule, or a NaN in it
+    "sim-infinite-horizon": ("simulate", edited(SIM, horizon=math.inf, opportunity_refresh=0.5), "config.horizon"),
+    "sim-infinite-refresh": ("simulate", edited(SIM, opportunity_refresh=math.inf), "config.opportunity_refresh"),
 }
 
 
@@ -152,6 +156,16 @@ def test_unparsable_config_exit_code(tmp_path, capsys, text):
     path.write_bytes(text)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, config", [("optimize", OPTIMIZE_CONFIG), ("simulate", SIM_CONFIG)])
+def test_manifest_hashes_the_config_file(tmp_path, subcommand, config):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(config, indent=3).encode() + b"\n")
+    out = tmp_path / "o"
+    assert main(["--quiet", subcommand, "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_simulate_scenario_file(tmp_path, scenarios_dir):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitmev import BotSpec, PoolState, SimConfig, order_batch, run, summarize, swap_out
-from splitmev.sequencer_sim import ConfigError, SimTx, execute_tx, fee_rank_correlation
+from splitmev.sequencer_sim import ConfigError, SimTx, _opportunity_times, execute_tx, fee_rank_correlation
 
 POOL = PoolState(1000.0, 2000.0, 0.003)
 
@@ -206,12 +206,15 @@ def test_opportunity_refresh_restores_pool():
     assert refreshed["reverts"] == 4
 
 
-def lone_bot(refresh):
+def lone_bot(refresh, block_time=0.25, batch_window=None):
     """(reverts, transactions) of a lone single_shot bot with zero latency,
-    jitter and slippage on 0.25 s blocks: it has no competitor, so every
-    revert comes from how the simulator models time."""
+    jitter and slippage: it has no competitor, so every revert comes from
+    how the simulator models time."""
     bot = BotSpec(name="a", strategy="single_shot", trade_size=10.0)
-    metrics = summarize(run(base_config(bots=(bot,), horizon=5.0, opportunity_refresh=refresh)))
+    config = base_config(
+        bots=(bot,), block_time=block_time, batch_window=batch_window, horizon=5.0, opportunity_refresh=refresh
+    )
+    metrics = summarize(run(config))
     return metrics["reverts"], metrics["total_txs"]
 
 
@@ -222,12 +225,65 @@ def test_arrival_on_a_block_boundary_sees_the_refreshed_pool(refresh, txs):
     assert lone_bot(refresh) == (0, txs)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1, cause 2: a refresh inside a block resets the pool only at the next block's start",
-)
-def test_refresh_inside_a_block_sees_the_refreshed_pool():
-    assert lone_bot(0.6) == (0, 9)
+@pytest.mark.parametrize("batch_window", [None, 0.0])
+@pytest.mark.parametrize("block_time", [0.1, 0.25, 0.3, 1.0])
+@pytest.mark.parametrize("refresh", [0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0, 1.3, 2.0])
+def test_lone_bot_never_reverts(refresh, block_time, batch_window):
+    # each refresh is a batch boundary, inside a block (0.6 against 0.25 s
+    # blocks) or on an inexact float boundary (3.0 against the block that
+    # starts at 29 * 0.1 == 2.9000000000000004)
+    assert lone_bot(refresh, block_time, batch_window)[0] == 0
+
+
+def test_opportunity_times_are_every_multiple_below_the_horizon():
+    assert _opportunity_times(base_config()) == [0.0]
+    assert _opportunity_times(base_config(opportunity_refresh=0.1, horizon=0.30000000000000004)) == [0.0, 0.1, 0.2]
+    # 35 * 0.05 rounds to 1.75, below this horizon, though the float quotient
+    # horizon / refresh rounds to 35.0
+    times = _opportunity_times(base_config(opportunity_refresh=0.05, horizon=1.7500000000000002))
+    assert len(times) == 36 and times[-1] == 1.75
+
+
+def test_no_refresh_at_the_horizon():
+    # 3 * 0.1 == 0.30000000000000004 is not below that horizon, so there is
+    # no opportunity there and no pool reset either
+    bots = (
+        BotSpec(name="fast", strategy="single_shot", trade_size=10.0, latency_mean=0.05),
+        BotSpec(name="slow", strategy="single_shot", trade_size=10.0, latency_mean=0.12),
+    )
+    reports = [
+        run(base_config(bots=bots, block_time=0.1, opportunity_refresh=0.1, horizon=horizon))
+        for horizon in (0.3, 0.30000000000000004)
+    ]
+    assert reports[0].to_json() == reports[1].to_json()
+
+
+def test_batch_straddling_a_refresh_splits_at_it():
+    # one block and one batch window, [0, 1), with a refresh at 0.5 inside
+    # it: "low" arrives at 0.0 and 0.5, "high" at 0.6 and 1.1
+    bots = (
+        BotSpec(name="low", strategy="single_shot", trade_size=10.0),
+        BotSpec(name="high", strategy="single_shot", trade_size=10.0, priority_fee=5.0, latency_mean=0.6),
+    )
+    config = base_config(
+        bots=bots,
+        block_time=1.0,
+        batch_window=1.0,
+        horizon=1.0,
+        opportunity_refresh=0.5,
+        ordering="pfa_within_batch",
+    )
+    report = run(config)
+    got = [(o.bot_name, o.submission_seq, o.block_number, o.position, o.status) for o in report.outcomes]
+    assert got == [
+        ("low", 0, 1, 0, "success"),
+        # arrived after the refresh: executes after the first opportunity's
+        # low-fee fill, against the fresh pool, and ahead of the second's
+        ("high", 1, 1, 1, "success"),
+        ("low", 2, 1, 2, "reverted"),
+        ("high", 3, 2, 0, "reverted"),
+    ]
+    assert report.outcomes[1].payout == swap_out(POOL, 10.0)
 
 
 def test_slippage_tolerance_absorbs_drift():
