@@ -99,7 +99,7 @@ def marginal_out_unchecked(pool: PoolState, q):
 def apply_swap(pool: PoolState, q: float) -> PoolState:
     """Pool state after a successful swap of q units of X."""
     q = float(_check_size(pool, q, allow_zero=False))
-    dy = swap_out(pool, q)
+    dy = swap_out_unchecked(pool, q)
     return PoolState(
         reserve_x=pool.reserve_x + (1.0 - pool.fee) * q,
         reserve_y=pool.reserve_y - dy,

@@ -13,6 +13,9 @@ swaps fail more, endogenously.
 The CEX leg is pre-committed at a fixed price and always settles, so a
 reverted AMM leg strands inventory at the liquidation penalty. Gas is a
 flat per-attempt overhead.
+
+``SimTx`` and ``TxOutcome`` are ``NamedTuple``s: the hot loop builds one of
+each per transaction, and a tuple costs a fraction of a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
-from itertools import count, takewhile
+from dataclasses import dataclass
+from itertools import chain, count, takewhile
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +65,12 @@ class BotSpec:
 
     def __post_init__(self):
         require(self.strategy in STRATEGIES, "strategy", f"must be one of {STRATEGIES}")
-        require(self.trade_size > 0, "trade_size", "must be positive")
+        require(0 < self.trade_size < math.inf, "trade_size", "must be positive and finite")
         require(self.n_chunks >= 1, "n_chunks", "must be >= 1")
         require(self.k_copies >= 1, "k_copies", "must be >= 1")
-        require(self.priority_fee >= 0, "priority_fee", "must be nonnegative")
-        require(self.latency_mean >= 0, "latency_mean", "must be nonnegative")
-        require(self.latency_jitter >= 0, "latency_jitter", "must be nonnegative")
+        require(0 <= self.priority_fee < math.inf, "priority_fee", "must be nonnegative and finite")
+        require(0 <= self.latency_mean < math.inf, "latency_mean", "must be nonnegative and finite")
+        require(0 <= self.latency_jitter < math.inf, "latency_jitter", "must be nonnegative and finite")
         require(0 <= self.slippage_tolerance < 1, "slippage_tolerance", "must be in [0, 1)")
 
     def tx_sizes(self) -> list[float]:
@@ -100,14 +104,14 @@ class SimConfig:
         require(self.block_time <= self.horizon < math.inf, "horizon", "must be finite and >= block_time")
         require(len(self.bots) >= 1, "bots", "need at least one bot")
         require(self.ordering in ORDERINGS, "ordering", f"must be one of {ORDERINGS}")
-        require(self.cex_price > 0, "cex_price", "must be positive")
+        require(0 < self.cex_price < math.inf, "cex_price", "must be positive and finite")
         require(self.seed >= 0, "seed", "must be a nonnegative integer")
         if self.batch_window is not None:
             require(self.batch_window >= 0, "batch_window", "must be nonnegative")
         if self.opportunity_refresh is not None:
             require(0 < self.opportunity_refresh < math.inf, "opportunity_refresh", "must be positive and finite")
-        require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
-        require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
+        require(0 <= self.gas_overhead < math.inf, "gas_overhead", "must be nonnegative and finite")
+        require(0 <= self.liquidation_penalty < math.inf, "liquidation_penalty", "must be nonnegative and finite")
 
     @property
     def effective_batch_window(self) -> float:
@@ -126,8 +130,7 @@ class SimConfig:
         return build(cls, d)
 
 
-@dataclass(frozen=True)
-class SimTx:
+class SimTx(NamedTuple):
     bot_id: int
     submit_time: float
     arrival_time: float
@@ -137,8 +140,7 @@ class SimTx:
     min_out: float
 
 
-@dataclass(frozen=True)
-class TxOutcome:
+class TxOutcome(NamedTuple):
     bot_id: int
     bot_name: str
     submission_seq: int
@@ -152,7 +154,24 @@ class TxOutcome:
     profit: float
 
 
-_OUTCOME_FIELDS = tuple(f.name for f in fields(TxOutcome))
+_OUTCOME_FIELDS = TxOutcome._fields
+# the fields that one (bot, size) order's rows share but for their status,
+# and the sorted rest, which each report row fills in
+_KEY_FIELDS = ("bot_id", "bot_name", "priority_fee", "size", "status")
+_ROW_KEY = attrgetter(*_KEY_FIELDS)
+_ROW_VALUES = attrgetter(*sorted(set(_OUTCOME_FIELDS) - set(_KEY_FIELDS)))
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _row_template(key: tuple) -> str:
+    """``%``-template of the report rows with this ``_ROW_KEY``: the keys in
+    sorted order, the key's fields encoded by ``json.dumps``, a ``%r`` for
+    each other field."""
+    encoded = {f: _dumps(v).replace("%", "%%") for f, v in zip(_KEY_FIELDS, key)}
+    return "{%s}" % ",".join(f'"{f}":{encoded.get(f, "%r")}' for f in sorted(_OUTCOME_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -163,18 +182,32 @@ class SimReport:
     per_bot_profit: dict[str, float]
 
     def to_json(self) -> str:
-        # the document asdict would give, without its deep copy
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        outcome = attrgetter(*_OUTCOME_FIELDS)
-        doc["outcomes"] = [dict(zip(_OUTCOME_FIELDS, outcome(o))) for o in self.outcomes]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """The report as ``json.dumps(..., sort_keys=True)`` writes it, compact.
+
+        Each row fills the template of its ``_ROW_KEY`` with its other
+        fields; rows whose key fields compare equal share a template, as all
+        rows of one of ``run``'s (bot, size) orders and status do. ``%r``
+        writes an int or a finite float as ``json.dumps`` does. The sum of
+        those fields is a finite ``float`` only if none of them is infinite,
+        NaN or a numpy scalar; otherwise every row goes through
+        ``json.dumps``."""
+        keys = list(map(_ROW_KEY, self.outcomes))
+        values = list(map(_ROW_VALUES, self.outcomes))
+        if type(total := sum(chain.from_iterable(values))) is float and math.isfinite(total):
+            templates = {key: _row_template(key) for key in set(keys)}
+            rows = ",".join(map(str.__mod__, map(templates.__getitem__, keys), values))
+        else:
+            rows = ",".join(_dumps(o._asdict()) for o in self.outcomes)
+        return '{"num_blocks":%s,"outcomes":[%s],"per_bot_profit":%s,"seed":%s}' % (
+            _dumps(self.num_blocks), rows, _dumps(self.per_bot_profit), _dumps(self.seed)
+        )
 
 
 def order_batch(txs: list[SimTx], policy: str) -> list[SimTx]:
     """Order one batch: FCFS by (arrival, submission seq); the priority-fee
     auction sorts by descending fee with arrival then seq as tie-breaks."""
     if policy == "fcfs":
-        return sorted(txs, key=lambda t: (t.arrival_time, t.submission_seq))
+        return sorted(txs, key=attrgetter("arrival_time", "submission_seq"))
     if policy == "pfa_within_batch":
         return sorted(txs, key=lambda t: (-t.priority_fee, t.arrival_time, t.submission_seq))
     raise ConfigError(f"ordering: unknown policy {policy!r}")
@@ -202,38 +235,26 @@ def _opportunity_times(config: SimConfig) -> list[float]:
 def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.Generator) -> list[SimTx]:
     # every opportunity starts from the fresh pool, so a bot's quote for a
     # size is the same each time: quote each distinct (bot, size) once
-    orders = []
-    for bot in config.bots:
+    orders = []  # (bot_id, bot, size, min_out) in submission order within an opportunity
+    for bot_id, bot in enumerate(config.bots):
         # bot demands at least the fresh-pool quote net of its slippage
         # tolerance, and never less than CEX break-even
         min_out = {
             size: max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
             for size in dict.fromkeys(bot.tx_sizes())
         }
-        orders.append([(size, min_out[size]) for size in bot.tx_sizes()])
+        orders += [(bot_id, bot, size, min_out[size]) for size in bot.tx_sizes()]
 
+    # exponential jitter: nonnegative, no pile-up at zero. One draw per
+    # jittered transaction in submission order, all in one call: the same
+    # values as one scalar draw per transaction
+    scales = [bot.latency_jitter for _, bot, _, _ in orders if bot.latency_jitter > 0]
+    draws = iter(rng.exponential(scales * len(opportunities)).tolist())
     txs: list[SimTx] = []
-    seq = 0
     for t_k in opportunities:
-        for bot_id, bot in enumerate(config.bots):
-            for size, min_out in orders[bot_id]:
-                if bot.latency_jitter > 0:
-                    # exponential jitter: nonnegative, no pile-up at zero
-                    latency = bot.latency_mean + rng.exponential(bot.latency_jitter)
-                else:
-                    latency = bot.latency_mean
-                txs.append(
-                    SimTx(
-                        bot_id=bot_id,
-                        submit_time=t_k,
-                        arrival_time=t_k + latency,
-                        size=size,
-                        priority_fee=bot.priority_fee,
-                        submission_seq=seq,
-                        min_out=min_out,
-                    )
-                )
-                seq += 1
+        for bot_id, bot, size, min_out in orders:
+            latency = bot.latency_mean + next(draws) if bot.latency_jitter > 0 else bot.latency_mean
+            txs.append(SimTx(bot_id, t_k, t_k + latency, size, bot.priority_fee, len(txs), min_out))
     return txs
 
 
@@ -256,8 +277,10 @@ def run(config: SimConfig) -> SimReport:
         window = int((t - (block - 1) * bt) // bw) if bw > 0 else 0
         batches.setdefault((block, bisect_right(opportunities, t), window), []).append(tx)
 
+    cex, gas, penalty = config.cex_price, config.gas_overhead, config.liquidation_penalty
+    names = [bot.name for bot in config.bots]
     outcomes: list[TxOutcome] = []
-    per_bot = {bot.name: 0.0 for bot in config.bots}
+    per_bot = dict.fromkeys(names, 0.0)
     pool, block, opp = config.pool, 0, 0
     for key, batch in sorted(batches.items()):
         if key[0] != block:
@@ -267,31 +290,14 @@ def run(config: SimConfig) -> SimReport:
             opp, pool = key[1], config.pool
         for tx in order_batch(batch, policy):
             success, payout, pool = execute_tx(pool, tx)
+            bot_id, _, arrival, size, fee, seq, _ = tx
             if success:
-                profit = payout - config.cex_price * tx.size - config.gas_overhead
+                status, profit = "success", payout - cex * size - gas
             else:
-                profit = (
-                    -config.cex_price * tx.size
-                    - config.liquidation_penalty
-                    - config.gas_overhead
-                )
-            bot_name = config.bots[tx.bot_id].name
-            per_bot[bot_name] += profit
-            outcomes.append(
-                TxOutcome(
-                    bot_id=tx.bot_id,
-                    bot_name=bot_name,
-                    submission_seq=tx.submission_seq,
-                    block_number=block,
-                    position=position,
-                    status="success" if success else "reverted",
-                    size=tx.size,
-                    priority_fee=tx.priority_fee,
-                    arrival_time=tx.arrival_time,
-                    payout=payout,
-                    profit=profit,
-                )
-            )
+                status, profit = "reverted", -cex * size - penalty - gas
+            name = names[bot_id]
+            per_bot[name] += profit
+            outcomes.append(TxOutcome(bot_id, name, seq, block, position, status, size, fee, arrival, payout, profit))
             position += 1
 
     return SimReport(

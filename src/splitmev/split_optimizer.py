@@ -161,6 +161,8 @@ def solve_chunk(
     params: ArbParams,
     model: FailureModel,
     rel_tol: float = DEFAULT_REL_TOL,
+    *,
+    theta: float | None = None,
 ) -> float:
     """Unique root of the chunk-size equation on (0, D).
 
@@ -170,12 +172,15 @@ def solve_chunk(
     positive. Bisection takes geometric midpoints while the bracket spans
     more than a factor of 4, then arithmetic ones (about 36 steps), on the
     unchecked plain-float kernels: ``threshold`` has checked the inputs at
-    q = D, which covers every q in (0, D].
+    q = D, which covers every q in (0, D]. A caller that has already
+    computed ``threshold(pool, params, model)``, as ``plan`` has, passes it
+    as ``theta``.
     """
     if rel_tol <= 0:
         raise DomainError("rel_tol must be positive")
     d = params.total_size
-    theta = threshold(pool, params, model)
+    if theta is None:
+        theta = threshold(pool, params, model)
     if params.gas_overhead >= theta:
         raise SingleSwapOptimal(
             f"overhead {params.gas_overhead} >= threshold {theta}: single swap is optimal"
@@ -229,7 +234,7 @@ def plan(
             branch="single_swap",
             threshold_value=theta,
         )
-    q_star = solve_chunk(pool, params, model, rel_tol)
+    q_star = solve_chunk(pool, params, model, rel_tol, theta=theta)
     n_ceil = max(1, math.ceil(params.total_size / q_star))
     # the continuous optimum D/q* lies between n_ceil-1 and n_ceil and the
     # total-profit curve is unimodal in n, so the integer optimum is one of

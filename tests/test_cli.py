@@ -66,6 +66,17 @@ MALFORMED_CONFIGS = {
     # JSON's Infinity: no end to the opportunity schedule, or a NaN in it
     "sim-infinite-horizon": ("simulate", edited(SIM, horizon=math.inf, opportunity_refresh=0.5), "config.horizon"),
     "sim-infinite-refresh": ("simulate", edited(SIM, opportunity_refresh=math.inf), "config.opportunity_refresh"),
+    # JSON's Infinity in a price, cost, size, fee or latency: a NaN draw, or
+    # an infinite profit or fee in report.json
+    "sim-infinite-price": ("simulate", edited(SIM, cex_price=math.inf), "config.cex_price"),
+    "sim-infinite-gas": ("simulate", edited(SIM, gas_overhead=math.inf), "config.gas_overhead"),
+    "sim-infinite-penalty": ("simulate", edited(SIM, liquidation_penalty=math.inf), "config.liquidation_penalty"),
+    **{
+        f"sim-infinite-{key.replace('_', '-')}": (
+            "simulate", edited(SIM, bots=[edited(BOT, **{key: math.inf})]), f"config.bots[0].{key}"
+        )
+        for key in ("trade_size", "priority_fee", "latency_mean", "latency_jitter")
+    },
 }
 
 

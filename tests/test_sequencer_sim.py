@@ -1,12 +1,26 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitmev import BotSpec, PoolState, SimConfig, order_batch, run, summarize, swap_out
-from splitmev.sequencer_sim import ConfigError, SimTx, _opportunity_times, execute_tx, fee_rank_correlation
+from splitmev import sequencer_sim
+from splitmev.sequencer_sim import (
+    ORDERINGS,
+    STRATEGIES,
+    ConfigError,
+    SimReport,
+    SimTx,
+    TxOutcome,
+    _opportunity_times,
+    execute_tx,
+    fee_rank_correlation,
+)
 
 POOL = PoolState(1000.0, 2000.0, 0.003)
 
@@ -437,3 +451,123 @@ def test_reports_match_golden_digests(scenarios_dir):
     for name, config in configs.items():
         digest = hashlib.sha256(run(config).to_json().encode()).hexdigest()
         assert digest == GOLDEN_REPORTS[name], name
+
+
+# Reference implementations: the transaction generator and the report
+# encoder as they were before the simulator moved to tuples. run and to_json
+# must give the same report.json bytes.
+
+
+def scalar_draw_txs(config, opportunities, rng):
+    """One scalar ``rng.exponential`` draw per jittered transaction, in
+    submission order (opportunity, then bot, then size)."""
+    txs = []
+    for t_k in opportunities:
+        for bot_id, bot in enumerate(config.bots):
+            for size in bot.tx_sizes():
+                min_out = max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
+                if bot.latency_jitter > 0:
+                    latency = bot.latency_mean + rng.exponential(bot.latency_jitter)
+                else:
+                    latency = bot.latency_mean
+                txs.append(SimTx(bot_id, t_k, t_k + latency, size, bot.priority_fee, len(txs), min_out))
+    return txs
+
+
+def dict_json(report):
+    """The report as one dict per row through ``json.dumps(sort_keys=True)``."""
+    doc = {
+        "seed": report.seed,
+        "num_blocks": report.num_blocks,
+        "outcomes": [dict(zip(TxOutcome._fields, o)) for o in report.outcomes],
+        "per_bot_profit": report.per_bot_profit,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def reference_json(config):
+    with mock.patch.object(sequencer_sim, "_generate_txs", scalar_draw_txs):
+        return dict_json(run(config))
+
+
+# names that JSON escapes (quote, backslash, control characters, non-ASCII)
+# or that a %-template must escape
+NAME_CHARS = '"\\%ab\x00\n\x1f\u00e9\u20ac\u2028\U0001f600'
+names = st.one_of(st.text(st.sampled_from(NAME_CHARS), max_size=6), st.text(max_size=4))
+
+
+@st.composite
+def sim_configs(draw):
+    """Small configs: 1-4 bots of any strategy, jittered or not, either
+    ordering, a batch window that may be zero, fees that may be zero."""
+    bots = tuple(
+        BotSpec(
+            name=draw(names),
+            strategy=draw(st.sampled_from(STRATEGIES)),
+            trade_size=draw(st.floats(0.5, 200.0)),
+            n_chunks=draw(st.integers(1, 3)),
+            k_copies=draw(st.integers(1, 3)),
+            priority_fee=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+            latency_mean=draw(st.floats(0.0, 0.5)),
+            latency_jitter=draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5))),
+            slippage_tolerance=draw(st.floats(0.0, 0.05)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    block_time = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    return SimConfig(
+        block_time=block_time,
+        pool=POOL,
+        cex_price=draw(st.floats(1.0, 2.2)),  # the pool's spot price is 2.0
+        horizon=block_time * draw(st.integers(1, 6)),
+        bots=bots,
+        seed=draw(st.integers(0, 2**32)),
+        ordering=draw(st.sampled_from(ORDERINGS)),
+        batch_window=draw(st.one_of(st.none(), st.just(0.0), st.floats(0.01, 0.5))),
+        opportunity_refresh=draw(st.one_of(st.none(), st.floats(0.1, 1.0))),
+        gas_overhead=draw(st.floats(0.0, 1.0)),
+        liquidation_penalty=draw(st.floats(0.0, 1.0)),
+    )
+
+
+MIXED = SimConfig(
+    block_time=0.25,
+    pool=POOL,
+    cex_price=1.8,
+    horizon=1.0,
+    opportunity_refresh=0.25,
+    ordering="pfa_within_batch",
+    batch_window=0.0,
+    seed=4,
+    bots=(
+        BotSpec('q"uote\\ 100%s', "split_and_duplicate", 30.0, n_chunks=2, k_copies=2, latency_jitter=0.1),
+        BotSpec("\u00e9\x07%%", "duplicate_k", 20.0, k_copies=3, priority_fee=1.0, latency_mean=0.02),
+        BotSpec("plain", "split_n", 25.0, n_chunks=3, latency_mean=0.01, latency_jitter=0.05),
+    ),
+)
+
+
+@given(sim_configs())
+@example(MIXED)
+@example(JITTERED)
+@settings(max_examples=200, deadline=None)
+def test_report_matches_reference_bytes(config):
+    assert run(config).to_json() == reference_json(config)
+
+
+def test_overflowing_profit_matches_reference_bytes():
+    # a finite price of 1e308 overflows price * size, so every profit is -inf
+    text = run(base_config(cex_price=1e308)).to_json()
+    assert text == reference_json(base_config(cex_price=1e308))
+    assert '"profit":-Infinity' in text
+
+
+def test_to_json_writes_any_float_as_json_does():
+    # a hand-built report: non-finite and numpy floats are encoded as
+    # json.dumps encodes them, not as their repr
+    def row(seq, arrival, profit):
+        return TxOutcome(0, "a", seq, 1, seq, "success", 1.0, 0.0, arrival, 2.0, profit)
+
+    for values in [(math.nan, 1.0), (math.inf, -math.inf), (np.float64(0.1), np.float64(-1e-7))]:
+        report = SimReport(0, 1, (row(0, values[0], 0.5), row(1, 0.25, values[1])), {"a": values[1]})
+        assert report.to_json() == dict_json(report)

@@ -158,6 +158,8 @@ def test_solve_chunk_grid_scan_oracle():
         hi = qs[sign_change[0]]
         q_star = solve_chunk(pool, params, model)
         assert lo <= q_star <= hi
+        # plan passes the threshold it has computed: the same root
+        assert solve_chunk(pool, params, model, theta=theta) == q_star
 
 
 def test_solve_chunk_approaches_total_size_near_threshold():
@@ -172,6 +174,8 @@ def test_solve_chunk_signals_single_swap():
     theta = threshold(POOL, params0, P_ONE)
     with pytest.raises(SingleSwapOptimal):
         solve_chunk(POOL, ArbParams(100, 1.9, theta * 1.01), P_ONE)
+    with pytest.raises(SingleSwapOptimal):
+        solve_chunk(POOL, ArbParams(100, 1.9, theta * 1.01), P_ONE, theta=theta)
 
 
 def test_solve_chunk_no_root_at_zero_overhead():
