@@ -174,25 +174,33 @@ def cmd_analyze(
     min_bot_reverts: int,
     quiet: bool,
 ) -> int:
-    labels = read_labels_csv(labels_csv)
-    records = read_records_csv(records_csv)
+    # each input is read once: parsed, and hashed for the manifest
+    digest = hashlib.sha256()
+    raw = labels_csv.read_bytes()
+    digest.update(raw)
+    labels = read_labels_csv(labels_csv, raw)
+    raw = records_csv.read_bytes()
+    digest.update(raw)
+    records = read_records_csv(records_csv, raw)
+    del raw  # keep the parsed records, not the file's bytes
     by_hash = {r.tx_hash: r for r in records}
 
     classified = []
     rows = []
     # by name: the same order as by path within one directory, and cheaper
     for path in sorted(traces_dir.glob("*.json"), key=lambda p: p.name):
+        tx_hash = path.stem
+        record = by_hash.get(tx_hash)
         for graph in load_trace_file(path):
             cls = classify_swap(graph, labels)
-            tx_hash = path.stem
             rows.append({"tx_hash": tx_hash, **cls.to_dict()})
-            record = by_hash.get(tx_hash)
             if record is not None:
                 classified.append((cls, record))
 
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps would build one per row
     with open(out_dir / "classifications.jsonl", "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
+            fh.write(encode(row))
             fh.write("\n")
 
     tables = breakdown(classified, k=3) if classified else {"dex": [], "pair": [], "sender": []}
@@ -236,7 +244,6 @@ def cmd_analyze(
         [(a,) for a in sorted(identify_bots(records, labels, min_bot_reverts))],
     )
 
-    digest = hashlib.sha256(labels_csv.read_bytes() + records_csv.read_bytes())
     _write_manifest(
         out_dir,
         "analyze",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 
@@ -53,9 +54,11 @@ class TxRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise SchemaError(f"status must be one of {STATUSES}, got {self.status!r}")
-        for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"{name} must be nonnegative")
+        if (self.block_number < 0 or self.tx_index < 0 or self.gas_price < 0
+                or self.priority_fee_per_gas < 0 or self.gas_used < 0 or self.l1_fee < 0):
+            for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
+                if getattr(self, name) < 0:
+                    raise SchemaError(f"{name} must be nonnegative")
         object.__setattr__(self, "from_address", self.from_address.lower())
         object.__setattr__(self, "to_address", self.to_address.lower())
 
@@ -158,36 +161,33 @@ def priority_fee_distribution(
     }
 
 
-def _parse_row(row: dict, line_no: int) -> TxRecord:
-    if None in row or None in row.values():  # csv.DictReader's key for extra cells, value for missing ones
-        raise SchemaError(f"line {line_no}: expected {len(TX_RECORD_HEADER)} cells")
-    try:
-        return TxRecord(
-            tx_hash=row["tx_hash"],
-            day=dt.date.fromisoformat(row["day"]),
-            block_number=int(row["block_number"]),
-            tx_index=int(row["tx_index"]),
-            status=row["status"],
-            from_address=row["from_address"],
-            to_address=row["to_address"],
-            gas_price=int(row["gas_price"]),
-            priority_fee_per_gas=int(row["priority_fee_per_gas"]),
-            gas_used=int(row["gas_used"]),
-            l1_fee=int(row["l1_fee"]),
-            chain=row["chain"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"line {line_no}: {exc}") from exc
+def open_csv(path, raw: bytes | None = None):
+    """The CSV file at ``path`` as text, decoded from ``raw`` if its bytes were read."""
+    return open(path, newline="") if raw is None else io.TextIOWrapper(io.BytesIO(raw), newline="")
 
 
-def read_records_csv(path) -> list[TxRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TX_RECORD_HEADER:
-            raise SchemaError(
-                f"{path}: expected header {TX_RECORD_HEADER}, got {reader.fieldnames}"
-            )
-        return [_parse_row(row, i) for i, row in enumerate(reader, start=2)]
+def read_records_csv(path, raw: bytes | None = None) -> list[TxRecord]:
+    """The records of a ``TX_RECORD_HEADER`` CSV file (``raw``: its bytes, if read)."""
+    n = len(TX_RECORD_HEADER)
+    records = []
+    with open_csv(path, raw) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TX_RECORD_HEADER:
+            raise SchemaError(f"{path}: expected header {TX_RECORD_HEADER}, got {header}")
+        # numbered as csv.DictReader numbers rows: blank ones are skipped, not counted
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) != n:
+                raise SchemaError(f"line {line_no}: expected {n} cells")
+            tx_hash, day, block, index, status, sender, to, price, tip, used, l1_fee, chain = row
+            try:
+                records.append(TxRecord(
+                    tx_hash, dt.date.fromisoformat(day), int(block), int(index), status, sender, to,
+                    int(price), int(tip), int(used), int(l1_fee), chain,
+                ))
+            except ValueError as exc:  # a bad cell, or a TxRecord check (SchemaError)
+                raise SchemaError(f"line {line_no}: {exc}") from exc
+    return records
 
 
 def write_records_csv(path, records: list[TxRecord]):

@@ -22,8 +22,10 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from json.scanner import py_make_scanner
+from typing import NamedTuple
 
-from .fee_accounting import SchemaError, TxRecord
+from .fee_accounting import SchemaError, TxRecord, open_csv
 
 __all__ = [
     "ExecutionGraph",
@@ -54,15 +56,24 @@ class TraceParseError(ValueError):
     """Malformed trace frame; message carries the path to the bad frame."""
 
 
-def _norm_address(addr: str, path: str) -> str:
+def _path(where) -> str:
+    """A frame's path, from its ``(parent's where, child index)`` links."""
+    steps = []
+    while type(where) is tuple:
+        where, i = where
+        steps.append(f".children[{i}]")
+    return where + "".join(reversed(steps))
+
+
+def _norm_address(addr, where, memo: dict) -> str:
     a = str(addr).lower()
     if not _ADDR_RE.fullmatch(a):
-        raise TraceParseError(f"{path}: bad address {addr!r}")
+        raise TraceParseError(f"{_path(where)}: bad address {addr!r}")
+    memo[addr] = a
     return a
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     caller: str
     callee: str
     selector: str | None
@@ -80,41 +91,48 @@ class ExecutionGraph:
 
 
 def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
-    """Validate a decoded call tree and collect its graph, in one pre-order pass."""
-    nodes: set[str] = set()
+    """Validate a decoded call tree and collect its graph, in one pre-order
+    pass that checks each distinct address string once."""
+    memo: dict[str, str] = {}  # raw address -> its checked lowercase form
     edges: list[Edge] = []
-    # (frame, its path, its parent's depth or None at the root, calls below the root)
+    # (frame, where: the root's path or (the parent's where, child index),
+    #  the parent's depth or None at the root, calls below the root)
     stack = [(tree, path, None, 0)]
     while stack:
-        d, path, parent_depth, level = stack.pop()
+        d, where, parent_depth, level = stack.pop()
         if not isinstance(d, dict):
-            raise TraceParseError(f"{path}: expected a JSON object")
+            raise TraceParseError(f"{_path(where)}: expected a JSON object")
         kind = d.get("call_kind", "call")
         if kind not in CALL_KINDS:
-            raise TraceParseError(f"{path}: unknown call_kind {kind!r}")
+            raise TraceParseError(f"{_path(where)}: unknown call_kind {kind!r}")
         depth = d.get("depth", 0)
         if type(depth) is not int:  # a JSON integer: not a string, float or bool
-            raise TraceParseError(f"{path}: bad depth {depth!r}")
+            raise TraceParseError(f"{_path(where)}: bad depth {depth!r}")
         if depth < 0:
-            raise TraceParseError(f"{path}: negative depth")
+            raise TraceParseError(f"{_path(where)}: negative depth")
         children = d.get("children", [])
         if not isinstance(children, list):
-            raise TraceParseError(f"{path}: children must be a list, got {children!r}")
+            raise TraceParseError(f"{_path(where)}: children must be a list, got {children!r}")
         try:
-            caller = _norm_address(d["from_address"], path)
-            callee = _norm_address(d["to_address"], path)
+            addr = d["from_address"]
+            caller = memo.get(addr) or _norm_address(addr, where, memo)
+            addr = d["to_address"]
+            callee = memo.get(addr) or _norm_address(addr, where, memo)
         except KeyError as exc:
-            raise TraceParseError(f"{path}: missing field {exc}") from exc
+            raise TraceParseError(f"{_path(where)}: missing field {exc}") from exc
+        except TypeError:  # an unhashable JSON array or object
+            raise TraceParseError(f"{_path(where)}: bad address {addr!r}") from None
         if parent_depth is not None and depth != parent_depth + 1:
-            raise TraceParseError(f"{path}: depth {depth} != parent depth + 1")
+            raise TraceParseError(f"{_path(where)}: depth {depth} != parent depth + 1")
         if level > MAX_CALL_DEPTH:
-            raise TraceParseError(f"{path}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
-        nodes.update((caller, callee))
-        selector = str(d["selector"]).lower() if d.get("selector") else None
-        edges.append(Edge(caller, callee, selector, kind))
-        for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
-            stack.append((children[i], f"{path}.children[{i}]", depth, level + 1))
-    return ExecutionGraph(nodes=frozenset(nodes), edges=tuple(edges), root=edges[0].callee)
+            raise TraceParseError(f"{_path(where)}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
+        selector = d.get("selector")
+        edges.append(Edge(caller, callee, str(selector).lower() if selector else None, kind))
+        if children:
+            level += 1
+            for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
+                stack.append((children[i], (where, i), depth, level))
+    return ExecutionGraph(nodes=frozenset(memo.values()), edges=tuple(edges), root=edges[0].callee)
 
 
 @dataclass(frozen=True)
@@ -139,9 +157,10 @@ class LabelLibrary:
         self.entries[entry.address.lower()] = entry
 
 
-def read_labels_csv(path) -> LabelLibrary:
+def read_labels_csv(path, raw: bytes | None = None) -> LabelLibrary:
+    """The labels of a ``LABEL_HEADER`` CSV file (``raw``: its bytes, if read)."""
     lib = LabelLibrary()
-    with open(path, newline="") as fh:
+    with open_csv(path, raw) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != LABEL_HEADER:
             raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
@@ -193,8 +212,9 @@ def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassifica
     manager_hits: list[tuple[int, LabelEntry]] = []
     token_hits: dict[str, int] = {}
 
+    entries = labels.entries  # graph addresses are lowercase already
     for i, edge in enumerate(graph.edges):
-        entry = labels.get(edge.callee)
+        entry = entries.get(edge.callee)
         if entry is None:
             continue
         if entry.kind in POOL_KINDS and edge.call_kind == "call":
@@ -286,21 +306,50 @@ def breakdown(
     return tables
 
 
+# from Python 3.12 only the pure-Python scanner nests as deep as the recursion limit allows
+_DECODER = json.JSONDecoder()  # the C scanner
+_PY_DECODER = json.JSONDecoder()
+_PY_DECODER.scan_once = py_make_scanner(_PY_DECODER)
+
+
+def _documents(text: str, decoder: json.JSONDecoder) -> list:
+    """The documents of a stripped trace text: one JSON value (a list gives
+    its items), else one per nonblank line. Line 1 is decoded once."""
+    try:
+        doc, end = decoder.raw_decode(text)
+    except json.JSONDecodeError:
+        doc, end = [], 0  # an empty text has no documents
+    if end == len(text):
+        return doc if isinstance(doc, list) else [doc]
+    lines = [line for line in text.splitlines() if line.strip()]
+    # the first document is line 1's when nothing but blanks follows it there
+    docs = [doc] if 0 < end <= len(lines[0]) and not lines[0][end:].strip(" \t") else []
+    for line in lines[len(docs):]:
+        if line.startswith("\ufeff"):  # json.loads's own check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        docs.append(decoder.decode(line))
+    return docs
+
+
 def load_trace_file(path) -> list[ExecutionGraph]:
     """Read one trace JSON file, either a single call tree or JSON lines
     with one tree per line, and build the execution graph of each tree."""
     limit = sys.getrecursionlimit()
-    # the C decoder recurses once per JSON level: two per frame (the object
-    # and its children list), plus one for a JSON-lines or array wrapper
-    sys.setrecursionlimit(limit + 2 * (MAX_CALL_DEPTH + 1) + 1)
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read().strip()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").strip()
+        # the C decoder recurses once per JSON level: two per frame (the
+        # object and its children list), plus one for a JSON-lines or array wrapper
+        sys.setrecursionlimit(limit + 2 * (MAX_CALL_DEPTH + 1) + 1)
         try:
-            doc = json.loads(text) if text else []
-            docs = doc if isinstance(doc, list) else [doc]
-        except json.JSONDecodeError:
-            docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+            docs = _documents(text, _DECODER)
+        except RecursionError as exc:
+            # the pure-Python scanner spends two frames per JSON level
+            sys.setrecursionlimit(limit + 4 * (MAX_CALL_DEPTH + 1) + 1)
+            try:
+                docs = _documents(text, _PY_DECODER)
+            except RecursionError:
+                raise exc from None
     # not UTF-8, not JSON (lines), or nested too deeply
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TraceParseError(f"{path}: {exc}") from exc

@@ -1,7 +1,10 @@
+import builtins
+import collections
 import csv
 import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -301,6 +304,32 @@ def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee01",
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee02",
     ]
+
+
+def test_analyze_reads_each_input_once(tmp_path, fixtures_dir, monkeypatch):
+    opened = collections.Counter()
+    real_open, real_path_open = builtins.open, pathlib.Path.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counting_path_open(self, *args, **kwargs):  # read_bytes and read_text go through it
+        opened[str(self)] += 1
+        return real_path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(pathlib.Path, "open", counting_path_open)
+    labels, records = fixtures_dir / "labels.csv", fixtures_dir / "records.csv"
+    out = tmp_path / "out"
+    argv = ["--quiet", "analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(labels)]
+    assert main(argv + ["--records", str(records), "--out", str(out)]) == 0
+    inputs = [labels, records, *sorted((fixtures_dir / "traces").glob("*.json"))]
+    assert {str(p): opened[str(p)] for p in inputs} == {str(p): 1 for p in inputs}
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the manifest hashes the digest of the two inputs, as it did before they were read once
+    inputs_digest = hashlib.sha256(labels.read_bytes() + records.read_bytes()).digest()
+    assert manifest["config_sha256"] == hashlib.sha256(inputs_digest).hexdigest()
 
 
 def test_analyze_empty_traces_dir(tmp_path, fixtures_dir):

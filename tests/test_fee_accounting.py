@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import pytest
@@ -77,8 +78,9 @@ def test_record_validation():
     assert make_record().from_address.startswith("0xaa")  # lowercased
     with pytest.raises(SchemaError):
         make_record(status="failed")
-    with pytest.raises(SchemaError):
-        make_record(gas_used=-1)
+    for name in INT_COLUMNS:
+        with pytest.raises(SchemaError, match=f"^{name} must be nonnegative$"):
+            make_record(**{name: -1})
     assert make_record(status="reverted").reverted
 
 
@@ -208,3 +210,74 @@ def test_csv_rejects_short_row(tmp_path, cells):
     bad.write_text(",".join(TX_RECORD_HEADER) + "\n" + ",".join(row[:cells]) + "\n")
     with pytest.raises(SchemaError, match="line 2: expected 12 cells"):
         read_records_csv(bad)
+
+
+def dictreader_records(path):
+    """The records parser as it was on ``csv.DictReader``: the reference."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != TX_RECORD_HEADER:
+            raise SchemaError(f"{path}: expected header {TX_RECORD_HEADER}, got {reader.fieldnames}")
+        records = []
+        for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise SchemaError(f"line {line_no}: expected {len(TX_RECORD_HEADER)} cells")
+            try:
+                records.append(TxRecord(**{
+                    **row,
+                    "day": dt.date.fromisoformat(row["day"]),
+                    **{k: int(row[k]) for k in INT_COLUMNS},
+                }))
+            except (KeyError, ValueError) as exc:
+                raise SchemaError(f"line {line_no}: {exc}") from exc
+        return records
+
+
+GOOD = "0x1,2025-05-01,1,0,success,0xA,0xb,10,0,21000,0,base"
+INT_COLUMNS = ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee")
+
+
+def with_cell(name, value):
+    cells = GOOD.split(",")
+    cells[TX_RECORD_HEADER.index(name)] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param([GOOD, GOOD.replace("0x1", "0x2")], id="valid"),
+        pytest.param([GOOD, "", GOOD, "0x1,2025-05-01,1"], id="short-after-blank"),
+        pytest.param([GOOD, GOOD + ",extra"], id="long"),
+        pytest.param(["", "", GOOD, "", GOOD.replace(",10,", ",ten,")], id="bad-int-after-blanks"),
+        pytest.param([GOOD.replace("2025-05-01", "2025-13-01")], id="bad-day"),
+        pytest.param([GOOD.replace("success", "pending")], id="bad-status"),
+        *[pytest.param([with_cell(name, "-1")], id=f"negative-{name}") for name in INT_COLUMNS],
+        pytest.param([GOOD.replace(",0,base", ",-1,base").replace(",1,0,", ",-1,0,")], id="two-negatives"),
+        pytest.param(["", GOOD], id="blank-first-row"),
+        pytest.param(['"0x1",2025-05-01,1,0,success,"0xa,0xb",0xb,10,0,21000,0,base'], id="quoted-comma"),
+    ],
+)
+def test_records_parser_matches_dictreader_reference(tmp_path, body):
+    path = tmp_path / "records.csv"
+    path.write_text(",".join(TX_RECORD_HEADER) + "\n" + "\n".join(body) + "\n")
+    try:
+        expected = dictreader_records(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            read_records_csv(path)
+        assert str(info.value) == str(exc)
+    else:
+        assert read_records_csv(path) == expected
+        assert read_records_csv(path, path.read_bytes()) == expected
+
+
+@pytest.mark.parametrize("text", ["", "\n" + ",".join(TX_RECORD_HEADER) + "\n", "tx_hash,day\n"])
+def test_records_header_errors_match_dictreader_reference(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as expected:
+        dictreader_records(path)
+    with pytest.raises(SchemaError) as info:
+        read_records_csv(path)
+    assert str(info.value) == str(expected.value)

@@ -1,9 +1,10 @@
 import datetime as dt
 import json
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitmev import (
@@ -18,6 +19,7 @@ from splitmev import (
     load_trace_file,
     read_labels_csv,
 )
+from splitmev import trace_analysis
 from splitmev.cli import main
 from splitmev.trace_analysis import CALL_KINDS, Edge, LabelEntry
 
@@ -146,6 +148,9 @@ def deep_chain(levels, bottom="0x" + "a" * 40):
     return "".join(frames) + "]}" * levels
 
 
+ONE = json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -160,6 +165,11 @@ def deep_chain(levels, bottom="0x" + "a" * 40):
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "depth": True}), "bad depth True", id="depth-bool"),
         pytest.param(json.dumps({**frame("0x" + "a" * 40, "0x" + "b" * 40), "children": 5}), "children must be a list", id="children-not-list"),
         pytest.param(b"\xff\xfe", "can't decode byte 0xff", id="not-utf8"),
+        pytest.param(json.dumps(json.loads(ONE), indent=2) + "\ngarbage\n", r"Expecting property name enclosed in double quotes: line 1 column 2 \(char 1\)", id="pretty-then-garbage"),
+        pytest.param(ONE + " " + ONE + "\n", "Extra data: line 1 column", id="two-on-one-line"),
+        pytest.param(ONE + "\n" + ONE + " x\n", "Extra data: line 1 column", id="junk-after-line-2"),
+        pytest.param(ONE + "\n\ufeff" + ONE + "\n", r"Unexpected UTF-8 BOM \(decode using utf-8-sig\)", id="bom-on-line-2"),
+        pytest.param("\ufeff" + ONE, r"Unexpected UTF-8 BOM \(decode using utf-8-sig\)", id="bom"),
     ],
 )
 def test_load_trace_file_input_errors(tmp_path, text, message):
@@ -187,6 +197,69 @@ def test_evm_depth_chain_loads_and_classifies(tmp_path, fixtures_dir, labels, ca
     (traces / "deep.json").write_text(deep_chain(1026))
     assert main(argv) == 2
     assert "call depth 1025 exceeds the EVM's 1024" in capsys.readouterr().err
+
+
+class FixedLimitDecoder(json.JSONDecoder):
+    """The C decoder as Python 3.12+ runs it: its nesting limit is its own,
+    and lifting the recursion limit does not reach it."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def raw_decode(self, s, idx=0):
+        lifted = sys.getrecursionlimit()
+        sys.setrecursionlimit(self.limit)
+        try:
+            return super().raw_decode(s, idx)
+        finally:
+            sys.setrecursionlimit(lifted)
+
+
+def test_deep_chain_falls_back_to_the_python_scanner(tmp_path, fixtures_dir, monkeypatch, capsys):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    deep = traces / "deep.json"
+    deep.write_text(deep_chain(5000))
+    with pytest.raises(TraceParseError) as c_error:
+        load_trace_file(deep)
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(trace_analysis, "_DECODER", FixedLimitDecoder(limit))
+    with pytest.raises(TraceParseError) as fallback_error:
+        load_trace_file(deep)
+    # the pure-Python scanner fails too, and the C decoder's error is the one raised
+    assert str(fallback_error.value) == str(c_error.value)
+    assert "maximum recursion depth" in str(c_error.value)
+    deep.write_text(deep_chain(1025, bottom=POOL_V3))
+    python_scanner = trace_analysis._PY_DECODER
+    monkeypatch.setattr(trace_analysis, "_PY_DECODER", trace_analysis._DECODER)
+    with pytest.raises(TraceParseError, match="maximum recursion depth"):  # no fallback: exit 2, as before
+        load_trace_file(deep)
+    monkeypatch.setattr(trace_analysis, "_PY_DECODER", python_scanner)
+    (graph,) = load_trace_file(deep)
+    assert sys.getrecursionlimit() == limit
+    assert len(graph.edges) == 1025
+    argv = ["--quiet", "analyze", "--traces", str(traces), "--labels", str(fixtures_dir / "labels.csv")]
+    argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    deep.write_text(deep_chain(5000))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {c_error.value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, edges",
+    [
+        pytest.param(json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40, children=[frame("0x" + "b" * 40, "0x" + "c" * 40, depth=1)]), indent=2), [2], id="pretty-printed"),
+        pytest.param(ONE + " \t\n\n" + ONE + "\r\n" + ONE + "\n", [1, 1, 1], id="jsonl-blanks"),
+        pytest.param(json.dumps([json.loads(ONE), json.loads(ONE)]), [1, 1], id="array"),
+        pytest.param("\n  " + ONE + "  \n", [1], id="padded"),
+    ],
+)
+def test_load_trace_file_layouts(tmp_path, text, edges):
+    path = tmp_path / "t.json"
+    path.write_bytes(text.encode())
+    assert [len(g.edges) for g in load_trace_file(path)] == edges
 
 
 ADDRESSES = st.sampled_from(["0x" + ch * 40 for ch in "abc"] + ["0x" + "D" * 40])
@@ -226,6 +299,121 @@ def reference_graph(tree):
 def test_build_graph_matches_recursive_reference(tree):
     graph = build_graph(tree)
     assert (graph.edges, graph.nodes, graph.root) == reference_graph(tree)
+
+
+def reference_error(tree, path="root"):
+    """The message of the first fault of a tree in pre-order, found by a
+    recursive walk that checks each frame as ``build_graph`` does."""
+
+    def visit(d, path, parent_depth, level):
+        if not isinstance(d, dict):
+            return f"{path}: expected a JSON object"
+        kind = d.get("call_kind", "call")
+        if kind not in CALL_KINDS:
+            return f"{path}: unknown call_kind {kind!r}"
+        depth = d.get("depth", 0)
+        if type(depth) is not int:
+            return f"{path}: bad depth {depth!r}"
+        if depth < 0:
+            return f"{path}: negative depth"
+        children = d.get("children", [])
+        if not isinstance(children, list):
+            return f"{path}: children must be a list, got {children!r}"
+        for key in ("from_address", "to_address"):
+            if key not in d:
+                return f"{path}: missing field {key!r}"
+            if not re.fullmatch(r"0x[0-9a-f]{40}", str(d[key]).lower()):
+                return f"{path}: bad address {d[key]!r}"
+        if parent_depth is not None and depth != parent_depth + 1:
+            return f"{path}: depth {depth} != parent depth + 1"
+        if level > 1024:
+            return f"{path}: call depth {level} exceeds the EVM's 1024"
+        for i, child in enumerate(children):
+            error = visit(child, f"{path}.children[{i}]", depth, level + 1)
+            if error:
+                return error
+        return None
+
+    return visit(tree, path, None, 0)
+
+
+def slots(tree, holder, key):
+    """Pre-order (frame, its holder, its key in the holder, calls below the root)."""
+    out, stack = [], [(holder, key, 0)]
+    while stack:
+        holder, key, level = stack.pop()
+        out.append((holder[key], holder, key, level))
+        children = holder[key].get("children", [])
+        stack += [(children, i, level + 1) for i in range(len(children) - 1, -1, -1)]
+    return out
+
+
+def shift_depths(tree, k):
+    tree["depth"] += k
+    for child in tree.get("children", []):
+        shift_depths(child, k)
+
+
+def without(key):
+    return lambda f: {k: v for k, v in f.items() if k != key}
+
+
+# each fault maps a frame to its faulty replacement
+FAULTS = {
+    "not-an-object": lambda f: [f],
+    "bad-call-kind": lambda f: {**f, "call_kind": "jump"},
+    "string-depth": lambda f: {**f, "depth": str(f["depth"])},
+    "float-depth": lambda f: {**f, "depth": float(f["depth"])},
+    "bool-depth": lambda f: {**f, "depth": True},
+    "negative-depth": lambda f: {**f, "depth": -1},
+    "depth-not-parent-plus-one": lambda f: {**f, "depth": f["depth"] + 2},
+    "children-not-a-list": lambda f: {**f, "children": {"0": f.get("children", [])}},
+    "missing-from": without("from_address"),
+    "missing-to": without("to_address"),
+    "short-address": lambda f: {**f, "from_address": "0x12"},
+    "address-newline": lambda f: {**f, "to_address": f["to_address"] + "\n"},
+    "unhashable-address": lambda f: {**f, "to_address": [f["to_address"]]},
+    "number-address": lambda f: {**f, "from_address": 5},
+    "past-evm-depth": None,  # the frame is moved 1,025 calls below the root
+}
+
+
+@settings(max_examples=400)
+@given(call_trees(0, 4), st.sampled_from(sorted(FAULTS)), st.data())
+def test_build_graph_faults_match_recursive_reference(tree, fault, data):
+    box = [tree]
+    frames = slots(tree, box, 0)
+    # a root has no parent depth to disagree with
+    first = 1 if fault == "depth-not-parent-plus-one" else 0
+    assume(len(frames) > first)
+    victim, holder, key, level = frames[data.draw(st.integers(first, len(frames) - 1), label="frame")]
+    if fault == "past-evm-depth":
+        extra = 1025 - level
+        shift_depths(tree, extra)
+        a = "0x" + "e" * 40
+        for depth in range(extra - 1, -1, -1):
+            box[0] = frame(a, a, depth=depth, children=[box[0]])
+    else:
+        holder[key] = FAULTS[fault](victim)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1100)  # the reference recurses once per frame
+    try:
+        expected = reference_error(box[0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expected is not None
+    with pytest.raises(TraceParseError) as info:
+        build_graph(box[0])
+    assert str(info.value) == expected
+
+
+def test_mixed_case_repeats_are_one_node():
+    lower, upper = "0x" + "ab" * 20, "0x" + "AB" * 20
+    mixed = "0x" + "aB" * 20
+    graph = build_graph(frame(lower, upper, children=[frame(mixed, upper, depth=1), frame(upper, lower, depth=1)]))
+    assert graph.nodes == {lower}
+    assert {a for e in graph.edges for a in (e.caller, e.callee)} == {lower}
+    assert graph.root == lower
 
 
 def test_labels_csv_bad_header(tmp_path):
