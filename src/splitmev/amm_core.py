@@ -93,7 +93,10 @@ def swap_out_unchecked(pool: PoolState, q):
 def marginal_out_unchecked(pool: PoolState, q):
     """``marginal_out`` of a float or array q that the caller has checked."""
     g = pool.reserve_x + (1.0 - pool.fee) * q
-    return pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
+    try:
+        return pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
+    except ZeroDivisionError:  # a float g * g underflowed: inf (or nan), as numpy divides
+        return float(pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / np.float64(0.0))
 
 
 def apply_swap(pool: PoolState, q: float) -> PoolState:

@@ -60,18 +60,21 @@ def _load_json(path: Path) -> tuple[dict, bytes]:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, subcommand: str, inputs: dict[str, str], config_bytes: bytes):
+def _write_json(path: Path, doc: dict):
+    """``doc`` as indented, key-sorted JSON, encoded in one piece and written once."""
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_manifest(out_dir: Path, subcommand: str, inputs: dict[str, str], config_sha256: str):
     manifest = {
         "subcommand": subcommand,
         "inputs": inputs,
-        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        "config_sha256": config_sha256,
         "out_dir": str(out_dir),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -112,11 +115,9 @@ def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
     n_curve = min(10 * result.num_chunks, 1000)
     curve = profit_curve(cfg.pool, cfg.params, model, n_curve)
 
-    with open(out_dir / "plan.json", "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "plan.json", result.to_dict())
     _write_csv(out_dir / "profit_curve.csv", ["n", "expected_total_profit"], curve)
-    _write_manifest(out_dir, "optimize", {"config": str(config_path)}, raw)
+    _write_manifest(out_dir, "optimize", {"config": str(config_path)}, hashlib.sha256(raw).hexdigest())
     _log(quiet, f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}")
     return EXIT_OK
 
@@ -132,9 +133,7 @@ def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, q
     with open(out_dir / "report.json", "w") as fh:
         fh.write(report.to_json())
         fh.write("\n")
-    with open(out_dir / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "metrics.json", metrics)
     _write_csv(
         out_dir / "revert_position_histogram.csv",
         ["position", "count"],
@@ -145,7 +144,7 @@ def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, q
         ["bot", "profit"],
         sorted(metrics["per_bot_profit"].items()),
     )
-    _write_manifest(out_dir, "simulate", {"config": str(config_path)}, raw)
+    _write_manifest(out_dir, "simulate", {"config": str(config_path)}, hashlib.sha256(raw).hexdigest())
     _log(
         quiet,
         f"{config_path.name}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}",
@@ -174,7 +173,7 @@ def cmd_analyze(
     min_bot_reverts: int,
     quiet: bool,
 ) -> int:
-    # each input is read once: parsed, and hashed for the manifest
+    # each input is read once: parsed, and hashed into the manifest's sha256(labels || records)
     digest = hashlib.sha256()
     raw = labels_csv.read_bytes()
     digest.update(raw)
@@ -213,7 +212,7 @@ def cmd_analyze(
 
     daily_all = revert_stats(records)
     daily_pf = revert_stats(records, priority_only=True)
-    diff = revert_differential(records)
+    diff = revert_differential(daily_all, daily_pf)
     _write_csv(
         out_dir / "revert_stats.csv",
         ["chain", "day", "revert_rate", "priority_revert_rate", "differential"],
@@ -233,11 +232,9 @@ def cmd_analyze(
         ["tx_index", "count"],
         sorted(position_histogram(records).items()),
     )
-    with open(out_dir / "priority_fee_distribution.json", "w") as fh:
-        dist = priority_fee_distribution(records)
-        dist["quantiles"] = {str(k): v for k, v in dist["quantiles"].items()}
-        json.dump(dist, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dist = priority_fee_distribution(records)
+    dist["quantiles"] = {str(k): v for k, v in dist["quantiles"].items()}
+    _write_json(out_dir / "priority_fee_distribution.json", dist)
     _write_csv(
         out_dir / "bots.csv",
         ["address"],
@@ -248,7 +245,7 @@ def cmd_analyze(
         out_dir,
         "analyze",
         {"traces": str(traces_dir), "labels": str(labels_csv), "records": str(records_csv)},
-        digest.digest(),
+        digest.hexdigest(),
     )
     _log(quiet, f"classified {len(rows)} traces ({sum(1 for r in rows if r['is_swap'])} swaps)")
     return EXIT_OK

@@ -10,6 +10,7 @@ parametric family, but can be built through ``TableInterpolated`` so that
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -35,11 +36,16 @@ __all__ = [
 DEFAULT_FLOOR = 1e-6
 
 
-def _check_q(q, q_max=None) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if not np.all((q >= 0) & np.isfinite(q)):
+def _check_q(q, q_max=None):
+    """Check q and return it: a ``float`` as is, anything else as an array."""
+    if type(q) is float:
+        ok, outside = q >= 0.0 and math.isfinite(q), q_max is not None and q > q_max
+    else:
+        q = np.asarray(q, dtype=float)
+        ok, outside = np.all((q >= 0) & np.isfinite(q)), q_max is not None and np.any(q > q_max)
+    if not ok:
         raise DomainError("q must be nonnegative and finite")
-    if q_max is not None and np.any(q > q_max):
+    if outside:
         raise DomainError(f"q outside declared domain [0, {q_max}]")
     return q
 
@@ -53,9 +59,10 @@ def _check_floor(floor: float, allow_one: bool = False, path: str = "floor"):
 class FailureModel:
     """Base: success probability p(q) with closed-form derivative.
 
-    ``prob`` and ``prob_derivative`` are vectorized over q. The floor is
-    applied after the parametric form; the derivative is 0 wherever the
-    floor binds.
+    ``prob`` and ``prob_derivative`` are vectorized over q; a Python
+    ``float`` q is checked and computed in plain floats, with the same
+    messages and results. The floor is applied after the parametric form;
+    the derivative is 0 wherever the floor binds.
     """
 
     floor: float
@@ -77,11 +84,15 @@ class FailureModel:
 
     def prob(self, q):
         q = _check_q(q, self.domain_max())
+        if type(q) is float:
+            return self.prob_and_slope_unchecked(q)[0]
         p = np.maximum(self._raw(q), self.floor)
         return p if p.ndim else float(p)
 
     def prob_derivative(self, q):
         q = _check_q(q, self.domain_max())
+        if type(q) is float:
+            return self.prob_and_slope_unchecked(q)[1]
         raw = self._raw(q)
         d = np.where(raw > self.floor, self._raw_derivative(q), 0.0)
         return d if d.ndim else float(d)
@@ -139,9 +150,13 @@ class PowerConcave(FailureModel):
         return d
 
     def _raw_and_slope(self, q):
-        # np.power, not **: numpy's vectorized pow, which _raw_derivative runs,
-        # can differ from the C library's (behind **) in the last bit
-        return self._raw(q), -self.alpha * float(np.power(q, self.alpha - 1.0)) / self.q_max**self.alpha
+        # raw: a numpy scalar's ** as in _raw (a float's ** raises OverflowError);
+        # slope: np.power, as _raw_derivative's vectorized pow can differ from **
+        raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
+        scale = self.q_max**self.alpha
+        if q > 0.0 and scale:
+            return raw, -self.alpha * float(np.power(q, self.alpha - 1.0)) / scale
+        return raw, float(self._raw_derivative(q))  # q = 0, or q_max**alpha underflowed to 0
 
 
 @dataclass(frozen=True)

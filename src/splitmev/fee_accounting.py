@@ -1,7 +1,7 @@
 """Gas-fee decomposition and aggregate revert statistics.
 
-All fee arithmetic stays in integer wei; floats appear only when ratios
-are reported. Transaction records round-trip through a fixed-header CSV so
+All fee arithmetic stays in integer wei; floats appear only in reported
+ratios and fee quantiles. Records round-trip through a fixed-header CSV so
 they interchange cleanly with the trace pipeline and external exports.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -124,13 +124,9 @@ def revert_stats(
     return {key: reverts[key] / totals[key] for key in sorted(totals)}
 
 
-def revert_differential(
-    records: list[TxRecord], priority_threshold: int = 0
-) -> dict[tuple[str, dt.date], float]:
-    """Priority-subset revert rate minus the all-transaction rate, per
-    (chain, day); days without any priority transactions are omitted."""
-    all_rates = revert_stats(records)
-    pf_rates = revert_stats(records, priority_only=True, priority_threshold=priority_threshold)
+def revert_differential(all_rates: dict, pf_rates: dict) -> dict[tuple[str, dt.date], float]:
+    """Priority-subset minus all-transaction revert rate per (chain, day), from the
+    two ``revert_stats`` tables; days without any priority transactions are omitted."""
     return {key: pf_rates[key] - all_rates[key] for key in pf_rates}
 
 
@@ -148,7 +144,8 @@ def priority_fee_distribution(
     quantiles: tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.99),
 ) -> dict:
     """Priority-fee-per-gas profile of reverted transactions: share paying
-    zero, share paying exactly 1 wei, and the requested quantiles."""
+    zero, share paying exactly 1 wei, and the requested quantiles. The
+    quantiles are float64, not integer wei: above 2**53 wei they round."""
     fees = [r.priority_fee_per_gas for r in records if r.reverted]
     if not fees:
         return {"count": 0, "zero_fee_share": 0.0, "one_wei_share": 0.0, "quantiles": {}}

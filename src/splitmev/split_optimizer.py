@@ -7,6 +7,9 @@ penalty. The optimal chunk size is either the full size D (when overhead
 is at or above a computable threshold) or the unique root of a monotone
 residual on (0, D); the chunk count is the ceiling of D over that root.
 
+Array q and n broadcast; a Python ``float`` q or ``int`` n is checked and
+computed in plain floats, with the same checks, messages and results.
+
 A brute-force integer scan over n is provided as an independent oracle;
 the ceiling rule can be off by one against the true integer optimum, and
 the oracle makes that checkable.
@@ -16,11 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .amm_core import DomainError, PoolState, marginal_out, swap_out
+from .amm_core import DomainError, PoolState, _as_output, marginal_out, swap_out
 from .amm_core import marginal_out_unchecked, swap_out_unchecked
 from .config import require
 from .failure_models import FailureModel
@@ -78,12 +81,17 @@ class SplitPlan:
     truncated: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat scalar fields: no deep copy needed
 
 
-def _check_chunk(params: ArbParams, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if not np.all((q > 0) & (q <= params.total_size)):
+def _check_chunk(params: ArbParams, q):
+    """Check q and return it: a ``float`` as is, anything else as an array."""
+    if type(q) is float:
+        ok = 0.0 < q <= params.total_size
+    else:
+        q = np.asarray(q, dtype=float)
+        ok = np.all((q > 0) & (q <= params.total_size))
+    if not ok:
         raise DomainError(f"chunk size must lie in (0, {params.total_size}]")
     return q
 
@@ -96,28 +104,18 @@ def per_swap_profit(pool: PoolState, params: ArbParams, model: FailureModel, q):
     overhead is sunk either way.
     """
     q = _check_chunk(params, q)
-    p = model.prob(q)
-    dy = swap_out(pool, q)
-    out = (
-        p * dy
-        - params.cex_price * q
-        - (1.0 - np.asarray(p)) * params.liquidation_penalty
-        - params.gas_overhead
-    )
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
+    p, dy = model.prob(q), swap_out(pool, q)
+    out = p * dy - params.cex_price * q - (1.0 - p) * params.liquidation_penalty - params.gas_overhead
+    return _as_output(out)
 
 
 def marginal_benefit(pool: PoolState, params: ArbParams, model: FailureModel, q):
     """Derivative of per_swap_profit in q; strictly decreasing for
     admissible failure models."""
     q = _check_chunk(params, q)
-    p = np.asarray(model.prob(q))
-    dp = np.asarray(model.prob_derivative(q))
-    dy = np.asarray(swap_out(pool, q))
-    dy1 = np.asarray(marginal_out(pool, q))
-    out = dp * (dy + params.liquidation_penalty) + p * dy1 - params.cex_price
-    return out if out.ndim else float(out)
+    p, dp = model.prob(q), model.prob_derivative(q)
+    out = dp * (swap_out(pool, q) + params.liquidation_penalty) + p * marginal_out(pool, q) - params.cex_price
+    return _as_output(out)
 
 
 def threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
@@ -130,24 +128,10 @@ def threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
     )
 
 
-def _residual(pool: PoolState, params: ArbParams, model: FailureModel, q):
-    """Left minus right side of the chunk-size root equation.
-
-    Strictly decreasing in q (its derivative is q * M'(q) < 0), so a sign
-    change brackets the unique interior root.
-    """
-    phi = params.liquidation_penalty
-    lhs = np.asarray(q) * (
-        np.asarray(marginal_benefit(pool, params, model, q)) + params.cex_price
-    )
-    rhs = np.asarray(model.prob(q)) * (np.asarray(swap_out(pool, q)) + phi) - (
-        params.gas_overhead + phi
-    )
-    return lhs - rhs, rhs
-
-
 def _residual_unchecked(pool: PoolState, params: ArbParams, model: FailureModel, q: float):
-    """``_residual`` (==) at one float q in (0, D], unchecked and in plain floats."""
+    """Left minus right side of the chunk-size root equation, and the right
+    side, at one float q in (0, D], unchecked. Strictly decreasing in q (its
+    derivative is q * M'(q) < 0): a sign change brackets the unique root."""
     phi = params.liquidation_penalty
     p, dp = model.prob_and_slope_unchecked(q)
     dy = swap_out_unchecked(pool, q)
@@ -206,11 +190,14 @@ def solve_chunk(
 
 def total_profit(pool: PoolState, params: ArbParams, model: FailureModel, n):
     """Expected profit of n equal chunks, pool drift ignored between them."""
-    n = np.asarray(n)
-    if not np.all((n >= 1) & (n == np.floor(n))):
+    if type(n) is int:
+        ok = n >= 1
+    else:
+        n = np.asarray(n)
+        ok = np.all((n >= 1) & (n == np.floor(n)))
+    if not ok:
         raise DomainError("n must be a positive integer")
-    out = n * np.asarray(per_swap_profit(pool, params, model, params.total_size / n))
-    return out if out.ndim else float(out)
+    return _as_output(n * per_swap_profit(pool, params, model, params.total_size / n))
 
 
 def plan(

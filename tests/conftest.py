@@ -8,6 +8,8 @@ from splitmev import (
     PoolState,
     PowerConcave,
     QuadraticConcave,
+    marginal_benefit,
+    swap_out,
     threshold,
 )
 
@@ -51,6 +53,20 @@ def random_instance(rng, fee_choices=(0.0, 0.0005, 0.003, 0.01)):
         return None
     gas = float(rng.uniform(0, 2 * theta))
     return pool, ArbParams(total, cex_price, gas, phi), model
+
+
+def residual(pool, params, model, q):
+    """Left minus right side of the chunk-size root equation, and the right
+    side, through the checked array functions: the reference for
+    ``solve_chunk``'s plain-float kernel and for grid scans over q.
+
+    Strictly decreasing in q (its derivative is q * M'(q) < 0), so a sign
+    change brackets the unique interior root.
+    """
+    phi = params.liquidation_penalty
+    lhs = np.asarray(q) * (np.asarray(marginal_benefit(pool, params, model, q)) + params.cex_price)
+    rhs = np.asarray(model.prob(q)) * (np.asarray(swap_out(pool, q)) + phi) - (params.gas_overhead + phi)
+    return lhs - rhs, rhs
 
 
 def compliant_instances(seed, count, **kwargs):

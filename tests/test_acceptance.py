@@ -35,10 +35,9 @@ from splitmev import (
     threshold,
 )
 from splitmev.sequencer_sim import fee_rank_correlation
-from splitmev.split_optimizer import _residual
 from splitmev.trace_analysis import LabelEntry, LabelLibrary
 
-from conftest import compliant_instances
+from conftest import compliant_instances, residual
 from test_trace_analysis import _record
 
 
@@ -99,7 +98,7 @@ def test_criterion_3_monotonicity_suite():
         if not np.all(np.diff(m) < 1e-9):
             ok = False
             break
-        res, _ = _residual(pool, params, model, qs)
+        res, _ = residual(pool, params, model, qs)
         # monotone separation of the root equation sides: their difference
         # decreases strictly at every grid point
         if not np.all(np.diff(res) < 1e-9):

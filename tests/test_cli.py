@@ -299,6 +299,10 @@ def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
     dist = json.loads((out / "priority_fee_distribution.json").read_text())
     assert dist["count"] == 24
 
+    # `cat labels.csv records.csv | sha256sum`, not a hash of that hash
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_sha256"] == "05465e04c5c4cb79603c6c2d7a1c136f670b9928b50ac54ef46fdd2db5b70a15"
+
     bots = (out / "bots.csv").read_text().splitlines()
     assert bots[1:] == [
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee01",
@@ -327,9 +331,8 @@ def test_analyze_reads_each_input_once(tmp_path, fixtures_dir, monkeypatch):
     inputs = [labels, records, *sorted((fixtures_dir / "traces").glob("*.json"))]
     assert {str(p): opened[str(p)] for p in inputs} == {str(p): 1 for p in inputs}
     manifest = json.loads((out / "manifest.json").read_text())
-    # the manifest hashes the digest of the two inputs, as it did before they were read once
-    inputs_digest = hashlib.sha256(labels.read_bytes() + records.read_bytes()).digest()
-    assert manifest["config_sha256"] == hashlib.sha256(inputs_digest).hexdigest()
+    # the bytes that were read once are the bytes hashed: labels, then records
+    assert manifest["config_sha256"] == hashlib.sha256(labels.read_bytes() + records.read_bytes()).hexdigest()
 
 
 def test_analyze_empty_traces_dir(tmp_path, fixtures_dir):

@@ -96,7 +96,7 @@ def test_revert_stats_small_example():
     # priority subset: only the reverted tx pays a priority fee
     pf = revert_stats(records, priority_only=True)
     assert pf == {("arbitrum", DAY): 1.0}
-    diff = revert_differential(records)
+    diff = revert_differential(rates, pf)
     assert diff == {("arbitrum", DAY): pytest.approx(2 / 3)}
 
 
@@ -135,7 +135,7 @@ def test_fixture_priority_differential(fixtures_dir):
     pf = revert_stats(records, priority_only=True)
     assert pf[("arbitrum", dt.date(2025, 5, 1))] == pytest.approx(2 / 3)
     assert pf[("base", dt.date(2025, 5, 1))] == pytest.approx(1.0)
-    diff = revert_differential(records)
+    diff = revert_differential(revert_stats(records), pf)
     assert diff[("arbitrum", dt.date(2025, 5, 1))] == pytest.approx(1 / 6)
     assert diff[("base", dt.date(2025, 5, 1))] == pytest.approx(0.25)
     assert ("base", dt.date(2025, 5, 2)) not in diff

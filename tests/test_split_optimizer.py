@@ -29,9 +29,9 @@ from splitmev import (
 )
 from splitmev.amm_core import marginal_out_unchecked, swap_out_unchecked
 from splitmev.failure_models import from_config
-from splitmev.split_optimizer import _residual, _residual_unchecked, profit_curve
+from splitmev.split_optimizer import _residual_unchecked, profit_curve
 
-from conftest import compliant_instances, pools
+from conftest import compliant_instances, pools, residual
 
 POOL = PoolState(1000, 2000, 0)
 P_ONE = constant_success()
@@ -151,7 +151,7 @@ def test_solve_chunk_grid_scan_oracle():
         if params.gas_overhead >= theta:
             continue
         qs = np.geomspace(params.total_size * 1e-9, params.total_size, 200_001)
-        res, _ = _residual(pool, params, model, qs)
+        res, _ = residual(pool, params, model, qs)
         sign_change = np.nonzero(res <= 0)[0]
         assert sign_change.size > 0
         lo = qs[sign_change[0] - 1]
@@ -234,19 +234,68 @@ def models_and_points(draw):
 @example(POOL, (FAMILIES["table"], 100.0), 1.9, 1.0, 2.0)  # interior knot
 @example(POOL, (TableInterpolated(qs=(0.0, 10.0), ps=(1.0, 0.01), floor=0.01), 10.0), 1.9, 1.0, 0.0)  # p == floor
 @example(POOL, (PowerConcave(q_max=3.0, alpha=1.7), 0.1), 1.9, 0.0, 1.0)  # ** and np.power differ
+@example(POOL, (PowerConcave(q_max=1e-12, alpha=50.0), 1e-13), 1.9, 1.0, 0.0)  # q_max**alpha underflows
+@example(PoolState(1e-200, 1.0), (LinearClamped(slope=1.0), 1e-190), 1.9, 1.0, 0.0)  # (x + q)**2 underflows
 @settings(max_examples=500)
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # numpy's, on both paths alike
 def test_scalar_kernels_equal_public_functions(pool, model_and_q, cex_price, gas, phi):
-    # solve_chunk's plain-float kernels must return exactly (==) what the
-    # checked public functions return, so that the bisection sees the same
-    # residual as every other caller
+    # the plain-float kernels, and the public functions on a float q or an
+    # int n (which run them), must return bit for bit what the array path
+    # returns; a numpy scalar takes the array path. Bits, not ==, so that
+    # -0.0 for 0.0 shows too
     model, q = model_and_q
-    assert swap_out_unchecked(pool, q) == swap_out(pool, q)
-    assert marginal_out_unchecked(pool, q) == marginal_out(pool, q)
-    assert model.prob_and_slope_unchecked(q) == (model.prob(q), model.prob_derivative(q))
+    ref = np.float64(q)
+    assert _bits(swap_out_unchecked(pool, q), swap_out(pool, q)) == _bits(swap_out(pool, ref)) * 2
+    assert _bits(marginal_out_unchecked(pool, q), marginal_out(pool, q)) == _bits(marginal_out(pool, ref)) * 2
+    expected = _bits(model.prob(ref), model.prob_derivative(ref))
+    assert _bits(*model.prob_and_slope_unchecked(q)) == expected
+    assert _bits(model.prob(q), model.prob_derivative(q)) == expected
     if q > 0:
         params = ArbParams(q, cex_price, gas, phi)
-        r, rhs = _residual(pool, params, model, q)
-        assert _residual_unchecked(pool, params, model, q) == (float(r), float(rhs))
+        assert _bits(*_residual_unchecked(pool, params, model, q)) == _bits(*residual(pool, params, model, ref))
+        for f in (per_swap_profit, marginal_benefit):
+            assert _bits(f(pool, params, model, q)) == _bits(f(pool, params, model, ref))
+        assert _bits(threshold(pool, params, model)) == _bits(threshold(pool, ArbParams(ref, cex_price, gas, phi), model))
+        for n in (1, 2, 3, 10):
+            if q / n > 0.0:  # a chunk of 0 is a DomainError on both paths
+                assert _bits(total_profit(pool, params, model, n)) == _bits(
+                    total_profit(pool, params, model, np.int64(n))
+                )
+
+
+def _bits(*xs) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in xs)
+
+
+PARAMS = ArbParams(100.0, 1.9, 1.0, 2.0)
+BAD_INPUTS = (
+    [pytest.param(getattr(model, method), q, id=f"{name}.{method}({q})")
+     for name, model in FAMILIES.items()
+     for method in ("prob", "prob_derivative")
+     for q in (math.nan, math.inf, -math.inf, -1.0)]
+    + [pytest.param(getattr(FAMILIES["table"], method), 200.5, id=f"table.{method}(200.5)")
+       for method in ("prob", "prob_derivative")]
+    + [pytest.param(lambda q, f=f: f(POOL, PARAMS, FAMILIES["linear"], q), q, id=f"{f.__name__}({q})")
+       for f in (per_swap_profit, marginal_benefit)
+       for q in (0.0, -1.0, 100.5, math.inf, math.nan)]
+    + [pytest.param(lambda n: total_profit(POOL, PARAMS, FAMILIES["linear"], n), n, id=f"total_profit({n})")
+       for n in (0, -1, False)]
+)
+
+
+@pytest.mark.parametrize("f, x", BAD_INPUTS)
+def test_scalar_and_array_paths_raise_alike(f, x):
+    # a Python float q (int n) is checked in plain comparisons, an array by
+    # numpy; both raise the same exception with the same message
+    def raised(arg):
+        with pytest.raises(Exception) as info:
+            f(arg)
+        return type(info.value), str(info.value)
+
+    scalar = raised(x)
+    assert scalar[0] is DomainError
+    assert raised(np.array([x])) == scalar
+    assert raised(np.asarray(x)[()]) == scalar  # a numpy scalar
 
 
 def test_chunk_count_grows_as_overhead_falls():
@@ -338,7 +387,7 @@ def test_monotone_separation_of_root_equation():
     # decreasing, which is what makes the interior root unique
     for pool, params, model in compliant_instances(26, 20):
         qs = np.geomspace(params.total_size * 1e-4, params.total_size, 500)
-        res, _ = _residual(pool, params, model, qs)
+        res, _ = residual(pool, params, model, qs)
         assert np.all(np.diff(res) < 1e-9)
 
 
