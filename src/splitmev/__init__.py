@@ -3,105 +3,12 @@ revert-trace analytics for CEX-DEX arbitrage on fast-finality chains."""
 
 __version__ = "0.1.0"
 
-from .amm_core import DomainError, PoolState, apply_swap, marginal_out, spot_price, swap_out
-from .failure_models import (
-    FailureModel,
-    LinearClamped,
-    PowerConcave,
-    QuadraticConcave,
-    TableInterpolated,
-    constant_success,
-    validate_assumptions,
-)
-from .split_optimizer import (
-    ArbParams,
-    NoRootError,
-    SingleSwapOptimal,
-    SplitPlan,
-    brute_force_plan,
-    marginal_benefit,
-    per_swap_profit,
-    plan,
-    solve_chunk,
-    threshold,
-    total_profit,
-)
-from .sequencer_sim import BotSpec, SimConfig, SimReport, order_batch, run, summarize
-from .fee_accounting import (
-    FeeBreakdown,
-    SchemaError,
-    TxRecord,
-    decompose,
-    position_histogram,
-    priority_fee_distribution,
-    read_records_csv,
-    revert_differential,
-    revert_stats,
-    write_records_csv,
-)
-from .trace_analysis import (
-    ExecutionGraph,
-    LabelLibrary,
-    SwapClassification,
-    TraceParseError,
-    breakdown,
-    build_graph,
-    classify_swap,
-    identify_bots,
-    load_trace_file,
-    read_labels_csv,
-)
+from .amm_core import *
+from .failure_models import *
+from .split_optimizer import *
+from .sequencer_sim import *
+from .fee_accounting import *
+from .trace_analysis import *
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "PoolState",
-    "apply_swap",
-    "marginal_out",
-    "spot_price",
-    "swap_out",
-    "FailureModel",
-    "LinearClamped",
-    "PowerConcave",
-    "QuadraticConcave",
-    "TableInterpolated",
-    "constant_success",
-    "validate_assumptions",
-    "ArbParams",
-    "SplitPlan",
-    "NoRootError",
-    "SingleSwapOptimal",
-    "per_swap_profit",
-    "marginal_benefit",
-    "threshold",
-    "solve_chunk",
-    "total_profit",
-    "plan",
-    "brute_force_plan",
-    "BotSpec",
-    "SimConfig",
-    "SimReport",
-    "order_batch",
-    "run",
-    "summarize",
-    "TxRecord",
-    "FeeBreakdown",
-    "SchemaError",
-    "decompose",
-    "revert_stats",
-    "revert_differential",
-    "position_histogram",
-    "priority_fee_distribution",
-    "read_records_csv",
-    "write_records_csv",
-    "TraceParseError",
-    "ExecutionGraph",
-    "LabelLibrary",
-    "SwapClassification",
-    "build_graph",
-    "classify_swap",
-    "identify_bots",
-    "breakdown",
-    "load_trace_file",
-    "read_labels_csv",
-]
+__all__ = ["__version__", *amm_core.__all__, *failure_models.__all__, *split_optimizer.__all__,
+           *sequencer_sim.__all__, *fee_accounting.__all__, *trace_analysis.__all__]

@@ -1,8 +1,9 @@
 """Command-line entry point: optimize / simulate / analyze.
 
 Every subcommand writes its outputs (plus a run manifest) into a single
-output directory and nowhere else. Exit codes: 0 ok, 2 config or schema
-error, 3 numerical anomaly (no interior root found).
+output directory and nowhere else. Exit codes: 0 ok; 2 config or schema
+error, an unreadable or non-UTF-8 input, or an unwritable output; 3
+numerical anomaly (no interior root, or a non-finite threshold).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .amm_core import DomainError, PoolState
-from .config import ConfigError, build, require
+from .config import ConfigError, build, read_input, require
 from .failure_models import from_config as model_from_config
 from .fee_accounting import (
     SchemaError,
@@ -53,10 +54,10 @@ def _log(quiet: bool, msg: str):
 
 def _load_json(path: Path) -> tuple[dict, bytes]:
     """The parsed document and the bytes it was parsed from, read once."""
+    text, raw = read_input(path, ConfigError)
     try:
-        raw = path.read_bytes()
-        return json.loads(raw.decode("utf-8")), raw
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
+        return json.loads(text), raw
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -173,15 +174,16 @@ def cmd_analyze(
     min_bot_reverts: int,
     quiet: bool,
 ) -> int:
+    require(traces_dir.is_dir(), str(traces_dir), "not a directory")
     # each input is read once: parsed, and hashed into the manifest's sha256(labels || records)
-    digest = hashlib.sha256()
-    raw = labels_csv.read_bytes()
+    text, raw = read_input(labels_csv, SchemaError)
+    digest = hashlib.sha256(raw)
+    labels = read_labels_csv(labels_csv, text)
+    text, raw = read_input(records_csv, SchemaError)
     digest.update(raw)
-    labels = read_labels_csv(labels_csv, raw)
-    raw = records_csv.read_bytes()
-    digest.update(raw)
-    records = read_records_csv(records_csv, raw)
-    del raw  # keep the parsed records, not the file's bytes
+    del raw  # parse the text alone, and keep the parsed records, not the file
+    records = read_records_csv(records_csv, text)
+    del text
     by_hash = {r.tx_hash: r for r in records}
 
     classified = []
@@ -302,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_analyze(
             args.traces, args.labels, args.records, out_dir, args.min_bot_reverts, args.quiet
         )
-    except (ConfigError, SchemaError, TraceParseError, DomainError) as exc:
+    except (ConfigError, SchemaError, TraceParseError, DomainError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoRootError as exc:

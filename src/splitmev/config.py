@@ -1,5 +1,6 @@
 """One builder for JSON configs: the fields of a frozen dataclass give the
-allowed keys, the required keys and the type of each value."""
+allowed keys, the required keys and the type of each value. One reader for
+every input file."""
 
 from __future__ import annotations
 
@@ -16,6 +17,18 @@ _JSON = {float: ((int, float), "expected a number"), int: (int, "expected an int
 
 class ConfigError(DomainError):
     """Invalid configuration; the message starts with the offending field path."""
+
+
+def read_input(path, error) -> tuple[str, bytes]:
+    """The text of the input file at ``path``, decoded as strict UTF-8, and
+    its bytes, read once; a file that cannot be read or decoded raises
+    ``error`` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return raw.decode("utf-8"), raw
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def require(cond: bool, path: str, msg: str):

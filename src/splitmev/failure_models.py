@@ -26,7 +26,6 @@ __all__ = [
     "QuadraticConcave",
     "TableInterpolated",
     "constant_success",
-    "from_config",
     "validate_assumptions",
     "AssumptionCheck",
     "ValidityReport",
@@ -136,6 +135,8 @@ class PowerConcave(FailureModel):
     def __post_init__(self):
         require(self.q_max > 0, "q_max", "must be positive")
         require(self.alpha >= 1.0, "alpha", "must be >= 1 for concavity")
+        with np.errstate(over="ignore"):  # the kernels divide by q_max**alpha; a float's ** would raise
+            require(np.isfinite(np.float64(self.q_max) ** self.alpha), "q_max", "q_max**alpha overflows")
         _check_floor(self.floor)
 
     def _raw(self, q):

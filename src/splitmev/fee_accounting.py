@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import read_input
+
 __all__ = [
     "TxRecord",
     "FeeBreakdown",
@@ -158,32 +160,29 @@ def priority_fee_distribution(
     }
 
 
-def open_csv(path, raw: bytes | None = None):
-    """The CSV file at ``path`` as text, decoded from ``raw`` if its bytes were read."""
-    return open(path, newline="") if raw is None else io.TextIOWrapper(io.BytesIO(raw), newline="")
-
-
-def read_records_csv(path, raw: bytes | None = None) -> list[TxRecord]:
-    """The records of a ``TX_RECORD_HEADER`` CSV file (``raw``: its bytes, if read)."""
+def read_records_csv(path, text: str | None = None) -> list[TxRecord]:
+    """The records of a ``TX_RECORD_HEADER`` CSV file; ``text`` is its decoded
+    content if the caller has read it, else the file at ``path`` is read as UTF-8."""
+    if text is None:
+        text = read_input(path, SchemaError)[0]
     n = len(TX_RECORD_HEADER)
     records = []
-    with open_csv(path, raw) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TX_RECORD_HEADER:
-            raise SchemaError(f"{path}: expected header {TX_RECORD_HEADER}, got {header}")
-        # numbered as csv.DictReader numbers rows: blank ones are skipped, not counted
-        for line_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) != n:
-                raise SchemaError(f"line {line_no}: expected {n} cells")
-            tx_hash, day, block, index, status, sender, to, price, tip, used, l1_fee, chain = row
-            try:
-                records.append(TxRecord(
-                    tx_hash, dt.date.fromisoformat(day), int(block), int(index), status, sender, to,
-                    int(price), int(tip), int(used), int(l1_fee), chain,
-                ))
-            except ValueError as exc:  # a bad cell, or a TxRecord check (SchemaError)
-                raise SchemaError(f"line {line_no}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != TX_RECORD_HEADER:
+        raise SchemaError(f"{path}: expected header {TX_RECORD_HEADER}, got {header}")
+    # numbered as csv.DictReader numbers rows: blank ones are skipped, not counted
+    for line_no, row in enumerate(filter(None, reader), start=2):
+        if len(row) != n:
+            raise SchemaError(f"line {line_no}: expected {n} cells")
+        tx_hash, day, block, index, status, sender, to, price, tip, used, l1_fee, chain = row
+        try:
+            records.append(TxRecord(
+                tx_hash, dt.date.fromisoformat(day), int(block), int(index), status, sender, to,
+                int(price), int(tip), int(used), int(l1_fee), chain,
+            ))
+        except ValueError as exc:  # a bad cell, or a TxRecord check (SchemaError)
+            raise SchemaError(f"line {line_no}: {exc}") from exc
     return records
 
 

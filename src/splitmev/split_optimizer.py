@@ -32,7 +32,6 @@ __all__ = [
     "ArbParams",
     "SplitPlan",
     "NoRootError",
-    "SingleSwapOptimal",
     "per_swap_profit",
     "marginal_benefit",
     "threshold",
@@ -47,12 +46,8 @@ DEFAULT_REL_TOL = 1e-10
 
 
 class NoRootError(RuntimeError):
-    """The residual is nonpositive at q = D * 1e-9: the root degenerates to 0."""
-
-
-class SingleSwapOptimal(Exception):
-    """Signal that the overhead is at/above the threshold: no interior root
-    exists and the full-size single swap is the optimum."""
+    """The residual is nonpositive at q = D * 1e-9, so the root degenerates
+    to 0, or the threshold is not finite."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,7 @@ def solve_chunk(
     if theta is None:
         theta = threshold(pool, params, model)
     if params.gas_overhead >= theta:
-        raise SingleSwapOptimal(
+        raise DomainError(
             f"overhead {params.gas_overhead} >= threshold {theta}: single swap is optimal"
         )
 
@@ -194,7 +189,7 @@ def total_profit(pool: PoolState, params: ArbParams, model: FailureModel, n):
         ok = n >= 1
     else:
         n = np.asarray(n)
-        ok = np.all((n >= 1) & (n == np.floor(n)))
+        ok = n.dtype != bool and np.all((n >= 1) & (n == np.floor(n)))  # a bool is never a count
     if not ok:
         raise DomainError("n must be a positive integer")
     return _as_output(n * per_swap_profit(pool, params, model, params.total_size / n))
@@ -213,6 +208,8 @@ def plan(
     The branch field reports the overhead-vs-threshold dichotomy; near the
     threshold the interior branch can still land on a single chunk."""
     theta = threshold(pool, params, model)
+    if not math.isfinite(theta):
+        raise NoRootError(f"threshold is {theta}: the pool's arithmetic has left the float range")
     if params.gas_overhead >= theta:
         return SplitPlan(
             chunk_size=params.total_size,

@@ -17,6 +17,7 @@ construction.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import sys
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from json.scanner import py_make_scanner
 from typing import NamedTuple
 
-from .fee_accounting import SchemaError, TxRecord, open_csv
+from .config import read_input
+from .fee_accounting import SchemaError, TxRecord
 
 __all__ = [
     "ExecutionGraph",
@@ -157,28 +159,30 @@ class LabelLibrary:
         self.entries[entry.address.lower()] = entry
 
 
-def read_labels_csv(path, raw: bytes | None = None) -> LabelLibrary:
-    """The labels of a ``LABEL_HEADER`` CSV file (``raw``: its bytes, if read)."""
+def read_labels_csv(path, text: str | None = None) -> LabelLibrary:
+    """The labels of a ``LABEL_HEADER`` CSV file; ``text`` is its decoded
+    content if the caller has read it, else the file at ``path`` is read as UTF-8."""
+    if text is None:
+        text = read_input(path, SchemaError)[0]
     lib = LabelLibrary()
-    with open_csv(path, raw) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != LABEL_HEADER:
-            raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
-        for i, row in enumerate(reader, start=2):
-            addr = row["address"].lower()
-            if not _ADDR_RE.fullmatch(addr):
-                raise SchemaError(f"{path} line {i}: bad address {row['address']!r}")
-            lib.add(
-                LabelEntry(
-                    address=addr,
-                    kind=row["kind"],
-                    dex=row["dex"],
-                    pair=row["pair"],
-                    fee_tier=row["fee_tier"],
-                    owner_label=row["owner_label"],
-                    has_code=row["has_code"].strip().lower() in ("1", "true", "yes"),
-                )
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != LABEL_HEADER:
+        raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
+    for i, row in enumerate(reader, start=2):
+        addr = row["address"].lower()
+        if not _ADDR_RE.fullmatch(addr):
+            raise SchemaError(f"{path} line {i}: bad address {row['address']!r}")
+        lib.add(
+            LabelEntry(
+                address=addr,
+                kind=row["kind"],
+                dex=row["dex"],
+                pair=row["pair"],
+                fee_tier=row["fee_tier"],
+                owner_label=row["owner_label"],
+                has_code=row["has_code"].strip().lower() in ("1", "true", "yes"),
             )
+        )
     return lib
 
 
@@ -334,10 +338,9 @@ def _documents(text: str, decoder: json.JSONDecoder) -> list:
 def load_trace_file(path) -> list[ExecutionGraph]:
     """Read one trace JSON file, either a single call tree or JSON lines
     with one tree per line, and build the execution graph of each tree."""
+    text = read_input(path, TraceParseError)[0].strip()
     limit = sys.getrecursionlimit()
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8").strip()
         # the C decoder recurses once per JSON level: two per frame (the
         # object and its children list), plus one for a JSON-lines or array wrapper
         sys.setrecursionlimit(limit + 2 * (MAX_CALL_DEPTH + 1) + 1)
@@ -350,8 +353,7 @@ def load_trace_file(path) -> list[ExecutionGraph]:
                 docs = _documents(text, _PY_DECODER)
             except RecursionError:
                 raise exc from None
-    # not UTF-8, not JSON (lines), or nested too deeply
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON (lines), or nested too deeply
         raise TraceParseError(f"{path}: {exc}") from exc
     finally:
         sys.setrecursionlimit(limit)

@@ -66,6 +66,12 @@ MALFORMED_CONFIGS = {
     "opt-pool-check": ("optimize", edited(OPT, pool=edited(OPT["pool"], reserve_x=0.0)), "config.pool"),
     "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.5)), "config.model.floor"),
     "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
+    # the kernels divide by q_max**alpha, which a float's ** cannot raise to 1e15000
+    "opt-power-overflow": (
+        "optimize",
+        edited(OPT, model={"family": "power_concave", "parameters": {"q_max": 1e300, "alpha": 50.0}}),
+        "config.model.parameters.q_max",
+    ),
     # JSON's Infinity: no end to the opportunity schedule, or a NaN in it
     "sim-infinite-horizon": ("simulate", edited(SIM, horizon=math.inf, opportunity_refresh=0.5), "config.horizon"),
     "sim-infinite-refresh": ("simulate", edited(SIM, opportunity_refresh=math.inf), "config.opportunity_refresh"),
@@ -126,6 +132,23 @@ def test_optimize_no_root_exit_code(tmp_path, capsys):
         path = write_json(tmp_path / f"{name}.json", cfg)
         assert main(["optimize", "--config", str(path), "--out", str(tmp_path / name)]) == 3, name
         assert "anomaly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reserve_y, theta", [(1e-200, "nan"), (1.0, "-inf")])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, dividing by the underflowed zero
+def test_optimize_non_finite_threshold_exit_code(tmp_path, capsys, reserve_y, theta):
+    # reserves near 1e-200: marginal_out at q = D divides by an underflowed
+    # (x + (1-f)q)**2, so no finite threshold separates the two branches
+    cfg = edited(
+        OPT,
+        pool={"reserve_x": 1e-200, "reserve_y": reserve_y, "fee": 0.003},
+        params={"total_size": 1e-300, "cex_price": 1.0},
+        model=MODEL_SECTIONS["linear"],
+    )
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    assert f"numerical anomaly: threshold is {theta}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no plan.json with a NaN or Infinity in it
 
 
 def test_optimize_table_shorter_than_total_size(tmp_path, capsys):
@@ -426,3 +449,58 @@ def test_out_dir_environment_read_on_every_call(tmp_path, configs_dir, monkeypat
     assert "the following arguments are required: --out" in capsys.readouterr().err
     assert main(argv + ["--out", str(tmp_path / "third")]) == 0
     assert (tmp_path / "third" / "plan.json").exists()
+
+
+# every file a subcommand reads, by the option that names it ("--traces":
+# one trace file in that directory), and the ways it can be unusable
+INPUTS = [("optimize", "--config"), ("simulate", "--config"), ("analyze", "--labels"),
+          ("analyze", "--records"), ("analyze", "--traces")]
+FAULTS = ["missing", "directory", "not-utf8", "empty", "bom"]
+# an empty trace file holds no call trees, and so no error
+PATH_FAULTS = [(*key, fault) for key in INPUTS for fault in FAULTS if key[1] != "--traces" or fault != "empty"]
+PATH_FAULTS += [(subcommand, "--out", "below-a-file") for subcommand in ("optimize", "simulate", "analyze")]
+
+
+def valid_inputs(tmp_path, fixtures_dir, configs_dir):
+    """Each subcommand's argv over valid copies of its inputs in ``tmp_path``,
+    and the path of each copy."""
+    paths = dict(zip(INPUTS, [tmp_path / "optimize.json", tmp_path / "simulate.json", tmp_path / "labels.csv",
+                              tmp_path / "records.csv", tmp_path / "traces" / "t.json"]))
+    paths["optimize", "--config"].write_bytes((configs_dir / "optimize_worked.json").read_bytes())
+    write_json(paths["simulate", "--config"], SIM_CONFIG)
+    for name in ("labels.csv", "records.csv"):
+        (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+    (tmp_path / "traces").mkdir()
+    paths["analyze", "--traces"].write_bytes((fixtures_dir / "traces" / "t01_v3_swap_usdc_weth_500.json").read_bytes())
+    argv = {}
+    for (subcommand, option), path in paths.items():
+        argv.setdefault(subcommand, [subcommand]).extend([option, str(path.parent if option == "--traces" else path)])
+    return argv, paths
+
+
+@pytest.mark.parametrize("subcommand, option, fault", PATH_FAULTS, ids=[f"{s}{o}-{f}" for s, o, f in PATH_FAULTS])
+def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, capsys, subcommand, option, fault):
+    # every input is read once, as UTF-8, by one reader: an input that cannot
+    # be read, decoded or parsed, or an --out that cannot be created, exits 2
+    # and names its path
+    argv, paths = valid_inputs(tmp_path, fixtures_dir, configs_dir)
+    out = tmp_path / "out"
+    if option == "--out":
+        (tmp_path / "file").write_text("")
+        path = out = tmp_path / "file" / "out"
+    else:
+        path = paths[subcommand, option]
+        good = path.read_bytes()
+        path.unlink()
+        if fault == "missing" and option == "--traces":
+            path = path.parent  # the traces directory itself
+            path.rmdir()
+        elif fault == "directory":
+            path.mkdir()
+        elif fault != "missing":
+            half = len(good) // 2
+            faulty = {"not-utf8": good[:half] + b"\xff" + good[half:], "empty": b"", "bom": b"\xef\xbb\xbf" + good}
+            path.write_bytes(faulty[fault])
+    assert main(["--quiet", *argv[subcommand], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err

@@ -269,7 +269,7 @@ def test_records_parser_matches_dictreader_reference(tmp_path, body):
         assert str(info.value) == str(exc)
     else:
         assert read_records_csv(path) == expected
-        assert read_records_csv(path, path.read_bytes()) == expected
+        assert read_records_csv(path, path.read_text(encoding="utf-8")) == expected
 
 
 @pytest.mark.parametrize("text", ["", "\n" + ",".join(TX_RECORD_HEADER) + "\n", "tx_hash,day\n"])

@@ -14,7 +14,6 @@ from splitmev import (
     PoolState,
     PowerConcave,
     QuadraticConcave,
-    SingleSwapOptimal,
     TableInterpolated,
     brute_force_plan,
     constant_success,
@@ -172,9 +171,9 @@ def test_solve_chunk_approaches_total_size_near_threshold():
 def test_solve_chunk_signals_single_swap():
     params0 = ArbParams(total_size=100, cex_price=1.9)
     theta = threshold(POOL, params0, P_ONE)
-    with pytest.raises(SingleSwapOptimal):
+    with pytest.raises(DomainError, match="single swap is optimal"):
         solve_chunk(POOL, ArbParams(100, 1.9, theta * 1.01), P_ONE)
-    with pytest.raises(SingleSwapOptimal):
+    with pytest.raises(DomainError, match="single swap is optimal"):
         solve_chunk(POOL, ArbParams(100, 1.9, theta * 1.01), P_ONE, theta=theta)
 
 
@@ -279,7 +278,7 @@ BAD_INPUTS = (
        for f in (per_swap_profit, marginal_benefit)
        for q in (0.0, -1.0, 100.5, math.inf, math.nan)]
     + [pytest.param(lambda n: total_profit(POOL, PARAMS, FAMILIES["linear"], n), n, id=f"total_profit({n})")
-       for n in (0, -1, False)]
+       for n in (0, -1, False, True)]
 )
 
 
