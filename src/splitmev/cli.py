@@ -3,7 +3,7 @@
 Every subcommand writes its outputs (plus a run manifest) into a single
 output directory and nowhere else. Exit codes: 0 ok; 2 config or schema
 error, an unreadable or non-UTF-8 input, or an unwritable output; 3
-numerical anomaly (no interior root, or a non-finite threshold).
+numerical anomaly (no interior root, or a non-finite threshold or profit).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .amm_core import DomainError, PoolState
-from .config import ConfigError, build, read_input, require
+from .config import ConfigError, build, read_input
 from .failure_models import from_config as model_from_config
 from .fee_accounting import (
     SchemaError,
@@ -32,7 +32,7 @@ from .fee_accounting import (
     revert_stats,
 )
 from .sequencer_sim import SimConfig, run, summarize
-from .split_optimizer import DEFAULT_REL_TOL, ArbParams, NoRootError, plan, profit_curve
+from .split_optimizer import ArbParams, NoRootError, plan, profit_curve
 from .trace_analysis import (
     TraceParseError,
     breakdown,
@@ -101,26 +101,28 @@ class OptimizeConfig:
     pool: PoolState
     params: ArbParams
     model: ModelConfig
-    rel_tol: float = DEFAULT_REL_TOL
-
-    def __post_init__(self):
-        require(self.rel_tol > 0, "rel_tol", "must be positive")
 
 
 def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
     doc, raw = _load_json(config_path)
     cfg = build(OptimizeConfig, doc)
     model = model_from_config(cfg.model.family, cfg.model.parameters, cfg.model.floor)
-    result = plan(cfg.pool, cfg.params, model, rel_tol=cfg.rel_tol)
+    result = plan(cfg.pool, cfg.params, model)
 
     n_curve = min(10 * result.num_chunks, 1000)
     curve = profit_curve(cfg.pool, cfg.params, model, n_curve)
 
-    _write_json(out_dir / "plan.json", result.to_dict())
+    _write_json(out_dir / "plan.json", vars(result))
     _write_csv(out_dir / "profit_curve.csv", ["n", "expected_total_profit"], curve)
     _write_manifest(out_dir, "optimize", {"config": str(config_path)}, hashlib.sha256(raw).hexdigest())
     _log(quiet, f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}")
     return EXIT_OK
+
+
+def _json_files(directory: Path) -> list[Path]:
+    """The ``*.json`` files in ``directory``, by name: ``iterdir`` raises ``OSError``
+    for a directory it cannot list, where ``Path.glob`` yields nothing."""
+    return sorted((p for p in directory.iterdir() if p.name.endswith(".json")), key=lambda p: p.name)
 
 
 def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool):
@@ -154,7 +156,7 @@ def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, q
 
 def cmd_simulate(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool) -> int:
     if config_path.is_dir():
-        configs = sorted(config_path.glob("*.json"))
+        configs = _json_files(config_path)
         if not configs:
             raise ConfigError(f"{config_path}: no *.json scenario configs found")
         for cfg in configs:
@@ -174,7 +176,6 @@ def cmd_analyze(
     min_bot_reverts: int,
     quiet: bool,
 ) -> int:
-    require(traces_dir.is_dir(), str(traces_dir), "not a directory")
     # each input is read once: parsed, and hashed into the manifest's sha256(labels || records)
     text, raw = read_input(labels_csv, SchemaError)
     digest = hashlib.sha256(raw)
@@ -188,8 +189,7 @@ def cmd_analyze(
 
     classified = []
     rows = []
-    # by name: the same order as by path within one directory, and cheaper
-    for path in sorted(traces_dir.glob("*.json"), key=lambda p: p.name):
+    for path in _json_files(traces_dir):
         tx_hash = path.stem
         record = by_hash.get(tx_hash)
         for graph in load_trace_file(path):
@@ -204,8 +204,7 @@ def cmd_analyze(
             fh.write(encode(row))
             fh.write("\n")
 
-    tables = breakdown(classified, k=3) if classified else {"dex": [], "pair": [], "sender": []}
-    for name, table in tables.items():
+    for name, table in breakdown(classified, k=3).items():
         _write_csv(
             out_dir / f"breakdown_{name}.csv",
             [name, "count", "share"],
@@ -260,41 +259,39 @@ def _positive_int(text: str) -> int:
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.Action, ...]]:
-    """The CLI parser and its ``--out`` options, built once per process
-    (building costs about eight times what parsing does)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (building costs about eight
+    times what parsing does)."""
     parser = argparse.ArgumentParser(prog="splitmev")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_opt = sub.add_parser("optimize", help="compute the optimal trade split")
     p_opt.add_argument("--config", required=True, type=Path)
-    out_opt = p_opt.add_argument("--out", type=Path)
+    p_opt.add_argument("--out", type=Path)
 
     p_sim = sub.add_parser("simulate", help="run a sequencer scenario (file or directory)")
     p_sim.add_argument("--config", required=True, type=Path)
-    out_sim = p_sim.add_argument("--out", type=Path)
+    p_sim.add_argument("--out", type=Path)
     p_sim.add_argument("--seed-override", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
     p_ana.add_argument("--traces", required=True, type=Path)
     p_ana.add_argument("--labels", required=True, type=Path)
     p_ana.add_argument("--records", required=True, type=Path)
-    out_ana = p_ana.add_argument("--out", type=Path)
+    p_ana.add_argument("--out", type=Path)
     p_ana.add_argument("--min-bot-reverts", type=_positive_int, default=10)
 
-    return parser, (out_opt, out_sim, out_ana)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, out_options = build_parser()
-    # --out defaults to $SPLITMEV_OUT, read on every call; without either
-    # it is a missing required argument
-    default_out = os.environ.get("SPLITMEV_OUT")
-    for option in out_options:
-        option.default, option.required = default_out, default_out is None
+    parser = build_parser()
     args = parser.parse_args(argv)
-    out_dir = Path(args.out)
+    out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
+    if out is None:
+        parser.error("the following arguments are required: --out")
+    out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "optimize":

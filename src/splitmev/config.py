@@ -28,7 +28,7 @@ def read_input(path, error) -> tuple[str, bytes]:
             raw = fh.read()
         return raw.decode("utf-8"), raw
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise error(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc  # an OSError's text names the path
 
 
 def require(cond: bool, path: str, msg: str):

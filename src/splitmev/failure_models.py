@@ -25,7 +25,7 @@ __all__ = [
     "PowerConcave",
     "QuadraticConcave",
     "TableInterpolated",
-    "constant_success",
+    "ConstantSuccess",
     "validate_assumptions",
     "AssumptionCheck",
     "ValidityReport",
@@ -49,9 +49,7 @@ def _check_q(q, q_max=None):
     return q
 
 
-def _check_floor(floor: float, allow_one: bool = False, path: str = "floor"):
-    if allow_one and floor == 1.0:
-        return
+def _check_floor(floor: float, path: str = "floor"):
     require(0.0 < floor <= 0.01, path, f"must lie in (0, 0.01], got {floor}")
 
 
@@ -111,7 +109,7 @@ class LinearClamped(FailureModel):
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        require(self.slope > 0, "slope", "must be positive")
+        require(0 < self.slope < math.inf, "slope", "must be positive and finite")
         _check_floor(self.floor)
 
     def _raw(self, q):
@@ -133,8 +131,8 @@ class PowerConcave(FailureModel):
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        require(self.q_max > 0, "q_max", "must be positive")
-        require(self.alpha >= 1.0, "alpha", "must be >= 1 for concavity")
+        require(0 < self.q_max < math.inf, "q_max", "must be positive and finite")
+        require(1.0 <= self.alpha < math.inf, "alpha", "must be finite and >= 1 for concavity")
         with np.errstate(over="ignore"):  # the kernels divide by q_max**alpha; a float's ** would raise
             require(np.isfinite(np.float64(self.q_max) ** self.alpha), "q_max", "q_max**alpha overflows")
         _check_floor(self.floor)
@@ -169,8 +167,8 @@ class QuadraticConcave(FailureModel):
     floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or (self.a == 0 and self.b == 0):
-            raise DomainError("need a, b >= 0 with a + b > 0")
+        require(0 <= self.a < math.inf, "a", "must be nonnegative and finite")
+        require(0 <= self.b < math.inf and self.a + self.b > 0, "b", "must be nonnegative and finite, with a + b > 0")
         _check_floor(self.floor)
 
     def _raw(self, q):
@@ -200,8 +198,8 @@ class TableInterpolated(FailureModel):
             raise DomainError("need matching q/p samples, at least two points")
         if qs[0] != 0.0 or ps[0] != 1.0:
             raise DomainError("table must start at (0, 1)")
-        require(np.all(np.diff(qs) > 0), "qs", "must be strictly increasing")
-        require(np.all(np.diff(ps) < 0), "ps", "must be strictly decreasing")
+        require(np.all(np.diff(qs) > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
+        require(np.all(np.diff(ps) < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
         _check_floor(self.floor)
 
     def domain_max(self):
@@ -226,27 +224,19 @@ class TableInterpolated(FailureModel):
 
 
 @dataclass(frozen=True)
-class _ConstantSuccess(FailureModel):
-    """Degenerate p == 1 boundary model (closed-form test instrument)."""
+class ConstantSuccess(FailureModel):
+    """p(q) = 1 everywhere; lies on the boundary of the admissible class."""
 
-    floor: float = 1.0
+    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
-        _check_floor(self.floor, allow_one=True)
+        _check_floor(self.floor)
 
     def _raw(self, q):
-        return np.ones_like(q)
+        return 1.0 - 0.0 * q  # a float for a float q, an array for an array
 
     def _raw_derivative(self, q):
-        return np.zeros_like(q)
-
-    def _raw_and_slope(self, q):
-        return 1.0, 0.0
-
-
-def constant_success() -> FailureModel:
-    """p(q) = 1 everywhere; lies on the boundary of the admissible class."""
-    return _ConstantSuccess()
+        return 0.0 * q
 
 
 _FAMILIES = {
@@ -254,7 +244,7 @@ _FAMILIES = {
     "power_concave": PowerConcave,
     "quadratic_concave": QuadraticConcave,
     "table_interpolated": TableInterpolated,
-    "constant": _ConstantSuccess,
+    "constant": ConstantSuccess,
 }
 
 

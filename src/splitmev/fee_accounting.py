@@ -56,11 +56,9 @@ class TxRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise SchemaError(f"status must be one of {STATUSES}, got {self.status!r}")
-        if (self.block_number < 0 or self.tx_index < 0 or self.gas_price < 0
-                or self.priority_fee_per_gas < 0 or self.gas_used < 0 or self.l1_fee < 0):
-            for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
-                if getattr(self, name) < 0:
-                    raise SchemaError(f"{name} must be nonnegative")
+        for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
+            if getattr(self, name) < 0:
+                raise SchemaError(f"{name} must be nonnegative")
         object.__setattr__(self, "from_address", self.from_address.lower())
         object.__setattr__(self, "to_address", self.to_address.lower())
 

@@ -42,12 +42,12 @@ __all__ = [
     "profit_curve",
 ]
 
-DEFAULT_REL_TOL = 1e-10
+REL_TOL = 1e-10  # of the root residual and of the bracket around q*
 
 
 class NoRootError(RuntimeError):
     """The residual is nonpositive at q = D * 1e-9, so the root degenerates
-    to 0, or the threshold is not finite."""
+    to 0, or the threshold or an expected profit is not finite."""
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ class ArbParams:
     liquidation_penalty: float = 0.0
 
     def __post_init__(self):
-        require(self.total_size > 0, "total_size", "must be positive")
-        require(self.cex_price > 0, "cex_price", "must be positive")
-        require(self.gas_overhead >= 0, "gas_overhead", "must be nonnegative")
-        require(self.liquidation_penalty >= 0, "liquidation_penalty", "must be nonnegative")
+        require(0 < self.total_size < math.inf, "total_size", "must be positive and finite")
+        require(0 < self.cex_price < math.inf, "cex_price", "must be positive and finite")
+        require(0 <= self.gas_overhead < math.inf, "gas_overhead", "must be nonnegative and finite")
+        require(0 <= self.liquidation_penalty < math.inf, "liquidation_penalty", "must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,6 @@ class SplitPlan:
     branch: str  # "single_swap" | "interior_root"
     threshold_value: float
     truncated: bool = False
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # flat scalar fields: no deep copy needed
 
 
 def _check_chunk(params: ArbParams, q):
@@ -139,7 +136,6 @@ def solve_chunk(
     pool: PoolState,
     params: ArbParams,
     model: FailureModel,
-    rel_tol: float = DEFAULT_REL_TOL,
     *,
     theta: float | None = None,
 ) -> float:
@@ -155,8 +151,6 @@ def solve_chunk(
     computed ``threshold(pool, params, model)``, as ``plan`` has, passes it
     as ``theta``.
     """
-    if rel_tol <= 0:
-        raise DomainError("rel_tol must be positive")
     d = params.total_size
     if theta is None:
         theta = threshold(pool, params, model)
@@ -172,13 +166,13 @@ def solve_chunk(
     for _ in range(200):
         mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
         r, rhs = _residual_unchecked(pool, params, model, mid)
-        if abs(r) <= rel_tol * (1.0 + abs(rhs)):
+        if abs(r) <= REL_TOL * (1.0 + abs(rhs)):
             return mid
         if r > 0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= REL_TOL * mid:
             break
     return 0.5 * (lo + hi)
 
@@ -195,12 +189,7 @@ def total_profit(pool: PoolState, params: ArbParams, model: FailureModel, n):
     return _as_output(n * per_swap_profit(pool, params, model, params.total_size / n))
 
 
-def plan(
-    pool: PoolState,
-    params: ArbParams,
-    model: FailureModel,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> SplitPlan:
+def plan(pool: PoolState, params: ArbParams, model: FailureModel) -> SplitPlan:
     """Optimal split: single full swap at/above the threshold, otherwise
     the integer chunk count nearest the interior root (the better of
     ceil(D/q*) and ceil(D/q*)-1).
@@ -211,27 +200,24 @@ def plan(
     if not math.isfinite(theta):
         raise NoRootError(f"threshold is {theta}: the pool's arithmetic has left the float range")
     if params.gas_overhead >= theta:
-        return SplitPlan(
-            chunk_size=params.total_size,
-            num_chunks=1,
-            expected_total_profit=float(per_swap_profit(pool, params, model, params.total_size)),
-            branch="single_swap",
-            threshold_value=theta,
-        )
-    q_star = solve_chunk(pool, params, model, rel_tol, theta=theta)
-    n_ceil = max(1, math.ceil(params.total_size / q_star))
-    # the continuous optimum D/q* lies between n_ceil-1 and n_ceil and the
-    # total-profit curve is unimodal in n, so the integer optimum is one of
-    # the two; take the better, smaller n on ties
-    candidates = [n_ceil - 1, n_ceil] if n_ceil > 1 else [n_ceil]
-    profits = [float(total_profit(pool, params, model, n)) for n in candidates]
-    best = max(range(len(candidates)), key=lambda i: (profits[i], -candidates[i]))
-    n_star = candidates[best]
+        n_star, profit, branch = 1, float(per_swap_profit(pool, params, model, params.total_size)), "single_swap"
+    else:
+        q_star = solve_chunk(pool, params, model, theta=theta)
+        n_ceil = max(1, math.ceil(params.total_size / q_star))
+        # the continuous optimum D/q* lies between n_ceil-1 and n_ceil and the
+        # total-profit curve is unimodal in n, so the integer optimum is one of
+        # the two; take the better, smaller n on ties
+        candidates = [n_ceil - 1, n_ceil] if n_ceil > 1 else [n_ceil]
+        profits = [float(total_profit(pool, params, model, n)) for n in candidates]
+        best = max(range(len(candidates)), key=lambda i: (profits[i], -candidates[i]))
+        n_star, profit, branch = candidates[best], profits[best], "interior_root"
+    if not math.isfinite(profit):
+        raise NoRootError(f"expected profit is {profit}: the pool's arithmetic has left the float range")
     return SplitPlan(
         chunk_size=params.total_size / n_star,
         num_chunks=n_star,
-        expected_total_profit=profits[best],
-        branch="interior_root",
+        expected_total_profit=profit,
+        branch=branch,
         threshold_value=theta,
     )
 
@@ -270,7 +256,10 @@ def brute_force_plan(
 def profit_curve(
     pool: PoolState, params: ArbParams, model: FailureModel, n_max: int
 ) -> list[tuple[int, float]]:
-    """(n, expected total profit) samples for plotting/export."""
+    """(n, expected total profit) samples for plotting/export, all finite."""
     ns = np.arange(1, n_max + 1)
-    profits = np.asarray(total_profit(pool, params, model, ns))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit raises below
+        profits = np.asarray(total_profit(pool, params, model, ns))
+    if not np.isfinite(profits).all():
+        raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
     return [(int(n), float(p)) for n, p in zip(ns, profits)]

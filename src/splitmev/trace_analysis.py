@@ -310,8 +310,9 @@ def breakdown(
     return tables
 
 
-# from Python 3.12 only the pure-Python scanner nests as deep as the recursion limit allows
-_DECODER = json.JSONDecoder()  # the C scanner
+# the C scanner; from Python 3.12 its nesting limit is its own, so only the
+# pure-Python scanner nests as deep as a raised recursion limit allows
+_DECODER = json.JSONDecoder()
 _PY_DECODER = json.JSONDecoder()
 _PY_DECODER.scan_once = py_make_scanner(_PY_DECODER)
 
@@ -339,22 +340,21 @@ def load_trace_file(path) -> list[ExecutionGraph]:
     """Read one trace JSON file, either a single call tree or JSON lines
     with one tree per line, and build the execution graph of each tree."""
     text = read_input(path, TraceParseError)[0].strip()
-    limit = sys.getrecursionlimit()
     try:
-        # the C decoder recurses once per JSON level: two per frame (the
-        # object and its children list), plus one for a JSON-lines or array wrapper
-        sys.setrecursionlimit(limit + 2 * (MAX_CALL_DEPTH + 1) + 1)
         try:
             docs = _documents(text, _DECODER)
         except RecursionError as exc:
-            # the pure-Python scanner spends two frames per JSON level
+            # deeper than the C scanner goes at this limit: the pure-Python
+            # scanner spends two Python frames per JSON level, and a call frame
+            # is two levels (the object and its children list)
+            limit = sys.getrecursionlimit()
             sys.setrecursionlimit(limit + 4 * (MAX_CALL_DEPTH + 1) + 1)
             try:
                 docs = _documents(text, _PY_DECODER)
             except RecursionError:
-                raise exc from None
+                raise exc from None  # the C scanner's error
+            finally:
+                sys.setrecursionlimit(limit)
     except (json.JSONDecodeError, RecursionError) as exc:  # not JSON (lines), or nested too deeply
         raise TraceParseError(f"{path}: {exc}") from exc
-    finally:
-        sys.setrecursionlimit(limit)
     return [build_graph(d, f"{path}[{i}]") for i, d in enumerate(docs)]

@@ -86,6 +86,38 @@ MALFORMED_CONFIGS = {
         )
         for key in ("trade_size", "priority_fee", "latency_mean", "latency_jitter")
     },
+    # JSON's Infinity in an optimizer input: a nonsense plan, an infinite
+    # profit in plan.json, or a NaN threshold
+    **{
+        f"opt-infinite-{key.replace('_', '-')}": (
+            "optimize", edited(OPT, params=edited(OPT["params"], **{key: math.inf})), f"config.params.{key}"
+        )
+        for key in ("total_size", "cex_price", "gas_overhead", "liquidation_penalty")
+    },
+    **{
+        f"opt-infinite-{family}-{key}": (
+            "optimize",
+            edited(OPT, model={"family": family, "parameters": {**parameters, key: math.inf}}),
+            f"config.model.parameters.{key}",
+        )
+        for family, parameters, key in [
+            ("linear_clamped", {}, "slope"),
+            ("quadratic_concave", {"b": 1e-6}, "a"),
+            ("quadratic_concave", {"a": 0.0005}, "b"),
+            ("power_concave", {"alpha": 2.0}, "q_max"),
+            ("power_concave", {"q_max": 0.5}, "alpha"),  # 0.5**inf is 0, a finite divisor
+        ]
+    },
+    "opt-infinite-table-q": (
+        "optimize",
+        edited(OPT, model={"family": "table_interpolated", "parameters": {"qs": [0.0, math.inf], "ps": [1.0, 0.5]}}),
+        "config.model.parameters.qs",
+    ),
+    "opt-infinite-table-p": (
+        "optimize",
+        edited(OPT, model={"family": "table_interpolated", "parameters": {"qs": [0.0, 200.0], "ps": [1.0, -math.inf]}}),
+        "config.model.parameters.ps",
+    ),
 }
 
 
@@ -149,6 +181,24 @@ def test_optimize_non_finite_threshold_exit_code(tmp_path, capsys, reserve_y, th
     assert main(["optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
     assert f"numerical anomaly: threshold is {theta}" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # no plan.json with a NaN or Infinity in it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning either
+def test_optimize_non_finite_profit_exit_code(tmp_path, capsys):
+    # a finite threshold, but cex_price * D overflows: the single swap's
+    # expected profit, and profit_curve's, are -inf
+    cfg = edited(
+        OPT,
+        pool={"reserve_x": 6.2e200, "reserve_y": 8.8e-229, "fee": 0.0},
+        params={"total_size": 2.4e169, "cex_price": 1.2e150, "gas_overhead": 1.0},
+        model={"family": "linear_clamped", "parameters": {"slope": 1e-171}},
+    )
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical anomaly: expected profit is -inf: the pool's arithmetic has left the float range\n"
+    )
+    assert list(out.iterdir()) == []  # no plan.json or profit_curve.csv with an infinity in it
 
 
 def test_optimize_table_shorter_than_total_size(tmp_path, capsys):
@@ -449,6 +499,30 @@ def test_out_dir_environment_read_on_every_call(tmp_path, configs_dir, monkeypat
     assert "the following arguments are required: --out" in capsys.readouterr().err
     assert main(argv + ["--out", str(tmp_path / "third")]) == 0
     assert (tmp_path / "third" / "plan.json").exists()
+    monkeypatch.setenv("SPLITMEV_OUT", str(tmp_path / "fourth"))
+    assert main(argv + ["--out", str(tmp_path / "fifth")]) == 0  # --out wins over the environment
+    assert (tmp_path / "fifth" / "plan.json").exists() and not (tmp_path / "fourth").exists()
+
+
+# plan.json of configs/optimize_worked.json (the constant model), floats as float.hex
+WORKED_PLAN = {
+    "branch": "interior_root",
+    "chunk_size": "0x1.9000000000000p+4",
+    "expected_total_profit": "0x1.1f3831f383200p+0",
+    "num_chunks": 4,
+    "threshold_value": "0x1.08767ab5f34e0p+4",
+    "truncated": False,
+}
+
+
+def test_constant_family_plans_bit_for_bit(tmp_path, configs_dir):
+    worked = json.loads((configs_dir / "optimize_worked.json").read_text())
+    assert worked["model"] == {"family": "constant", "parameters": {}}
+    for name, cfg in {"worked": worked, "bare": edited(worked, model={"family": "constant"})}.items():
+        out = tmp_path / name
+        assert main(["--quiet", "optimize", "--config", str(write_json(tmp_path / f"{name}.json", cfg)), "--out", str(out)]) == 0
+        plan = json.loads((out / "plan.json").read_text())
+        assert {k: v.hex() if type(v) is float else v for k, v in plan.items()} == WORKED_PLAN, name
 
 
 # every file a subcommand reads, by the option that names it ("--traces":
@@ -459,6 +533,8 @@ FAULTS = ["missing", "directory", "not-utf8", "empty", "bom"]
 # an empty trace file holds no call trees, and so no error
 PATH_FAULTS = [(*key, fault) for key in INPUTS for fault in FAULTS if key[1] != "--traces" or fault != "empty"]
 PATH_FAULTS += [(subcommand, "--out", "below-a-file") for subcommand in ("optimize", "simulate", "analyze")]
+# a directory that cannot be listed: the traces, or a simulate scenario directory
+PATH_FAULTS += [("analyze", "--traces", "unlistable"), ("simulate", "--config", "unlistable")]
 
 
 def valid_inputs(tmp_path, fixtures_dir, configs_dir):
@@ -479,15 +555,26 @@ def valid_inputs(tmp_path, fixtures_dir, configs_dir):
 
 
 @pytest.mark.parametrize("subcommand, option, fault", PATH_FAULTS, ids=[f"{s}{o}-{f}" for s, o, f in PATH_FAULTS])
-def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, capsys, subcommand, option, fault):
+def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, monkeypatch, capsys, subcommand, option, fault):
     # every input is read once, as UTF-8, by one reader: an input that cannot
-    # be read, decoded or parsed, or an --out that cannot be created, exits 2
-    # and names its path
+    # be read, decoded or parsed, a directory that cannot be listed, or an
+    # --out that cannot be created, exits 2 and names its path once
     argv, paths = valid_inputs(tmp_path, fixtures_dir, configs_dir)
     out = tmp_path / "out"
     if option == "--out":
         (tmp_path / "file").write_text("")
         path = out = tmp_path / "file" / "out"
+    elif fault == "unlistable":
+        path = paths[subcommand, option].parent
+        argv[subcommand][argv[subcommand].index(option) + 1] = str(path)
+        iterdir = pathlib.Path.iterdir
+
+        def refuse(directory):  # as a directory without read permission; root ignores chmod
+            if directory == path:
+                raise PermissionError(13, "Permission denied", str(directory))
+            return iterdir(directory)
+
+        monkeypatch.setattr(pathlib.Path, "iterdir", refuse)
     else:
         path = paths[subcommand, option]
         good = path.read_bytes()
@@ -503,4 +590,4 @@ def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, capsys, su
             path.write_bytes(faulty[fault])
     assert main(["--quiet", *argv[subcommand], "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count(str(path)) == 1 and "Traceback" not in err

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from splitmev import (
+    ConstantSuccess,
     DomainError,
     LinearClamped,
     PowerConcave,
     QuadraticConcave,
     TableInterpolated,
-    constant_success,
     validate_assumptions,
 )
 from splitmev.failure_models import from_config
@@ -24,7 +24,7 @@ ALL_MODELS = [
 
 
 def test_prob_at_zero_is_one():
-    for model in ALL_MODELS + [constant_success()]:
+    for model in ALL_MODELS + [ConstantSuccess()]:
         assert model.prob(0.0) == 1.0
 
 
@@ -128,6 +128,6 @@ def test_from_config():
 
 
 def test_constant_success_boundary_model():
-    m = constant_success()
+    m = ConstantSuccess()
     assert m.prob(1e9) == 1.0
     assert m.prob_derivative(123.0) == 0.0

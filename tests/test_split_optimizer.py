@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from splitmev import (
     ArbParams,
+    ConstantSuccess,
     DomainError,
     LinearClamped,
     NoRootError,
@@ -16,7 +17,6 @@ from splitmev import (
     QuadraticConcave,
     TableInterpolated,
     brute_force_plan,
-    constant_success,
     marginal_benefit,
     marginal_out,
     per_swap_profit,
@@ -33,7 +33,7 @@ from splitmev.split_optimizer import _residual_unchecked, profit_curve
 from conftest import compliant_instances, pools, residual
 
 POOL = PoolState(1000, 2000, 0)
-P_ONE = constant_success()
+P_ONE = ConstantSuccess()
 
 # one model of each family on which POOL with D = 100 has a positive threshold
 FAMILIES = {
@@ -139,7 +139,7 @@ def test_solve_chunk_worked_example():
     # i.e. y q^2 / (x+q)^2 = c_g, whose positive root is closed-form
     params = ArbParams(total_size=100, cex_price=1.9, gas_overhead=1.0)
     analytic = 1000.0 / (math.sqrt(2000.0) - 1.0)
-    q_star = solve_chunk(POOL, params, P_ONE, rel_tol=1e-12)
+    q_star = solve_chunk(POOL, params, P_ONE)
     assert q_star == pytest.approx(analytic, rel=1e-9)
 
 

@@ -199,52 +199,50 @@ def test_evm_depth_chain_loads_and_classifies(tmp_path, fixtures_dir, labels, ca
     assert "call depth 1025 exceeds the EVM's 1024" in capsys.readouterr().err
 
 
-class FixedLimitDecoder(json.JSONDecoder):
-    """The C decoder as Python 3.12+ runs it: its nesting limit is its own,
-    and lifting the recursion limit does not reach it."""
-
-    def __init__(self, limit):
-        super().__init__()
-        self.limit = limit
-
-    def raw_decode(self, s, idx=0):
-        lifted = sys.getrecursionlimit()
-        sys.setrecursionlimit(self.limit)
-        try:
-            return super().raw_decode(s, idx)
-        finally:
-            sys.setrecursionlimit(lifted)
-
-
 def test_deep_chain_falls_back_to_the_python_scanner(tmp_path, fixtures_dir, monkeypatch, capsys):
+    # the C scanner runs at the interpreter's own recursion limit; only its
+    # RecursionError sends a document to the pure-Python scanner, which runs
+    # under a raised limit
+    scanners = []
+    documents = trace_analysis._documents
+
+    def spy(text, decoder):
+        scanners.append("python" if decoder is trace_analysis._PY_DECODER else "c")
+        return documents(text, decoder)
+
+    monkeypatch.setattr(trace_analysis, "_documents", spy)
     traces = tmp_path / "traces"
     traces.mkdir()
     deep = traces / "deep.json"
-    deep.write_text(deep_chain(5000))
-    with pytest.raises(TraceParseError) as c_error:
-        load_trace_file(deep)
-    limit = sys.getrecursionlimit()
-    monkeypatch.setattr(trace_analysis, "_DECODER", FixedLimitDecoder(limit))
-    with pytest.raises(TraceParseError) as fallback_error:
-        load_trace_file(deep)
-    # the pure-Python scanner fails too, and the C decoder's error is the one raised
-    assert str(fallback_error.value) == str(c_error.value)
-    assert "maximum recursion depth" in str(c_error.value)
     deep.write_text(deep_chain(1025, bottom=POOL_V3))
-    python_scanner = trace_analysis._PY_DECODER
-    monkeypatch.setattr(trace_analysis, "_PY_DECODER", trace_analysis._DECODER)
-    with pytest.raises(TraceParseError, match="maximum recursion depth"):  # no fallback: exit 2, as before
-        load_trace_file(deep)
-    monkeypatch.setattr(trace_analysis, "_PY_DECODER", python_scanner)
+    limit = sys.getrecursionlimit()
+    try:
+        trace_analysis._DECODER.decode(deep.read_text())
+        expected = ["c"]  # from Python 3.13 the C scanner reaches the EVM's depth at the default limit
+    except RecursionError:
+        expected = ["c", "python"]
     (graph,) = load_trace_file(deep)
+    assert scanners == expected
     assert sys.getrecursionlimit() == limit
     assert len(graph.edges) == 1025
     argv = ["--quiet", "analyze", "--traces", str(traces), "--labels", str(fixtures_dir / "labels.csv")]
     argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "out")]
     assert main(argv) == 0
+
+    # too deep for both scanners: the C scanner's error is raised, which
+    # names the JSON type it was decoding; the pure-Python scanner's does not
     deep.write_text(deep_chain(5000))
+    with pytest.raises(RecursionError) as python_error:
+        trace_analysis._PY_DECODER.decode(deep.read_text())
+    assert "while decoding a JSON" not in str(python_error.value)
+    c_error = re.escape(f"{deep}: ") + "maximum recursion depth exceeded while decoding a JSON (array|object) from a unicode string"
+    scanners.clear()
+    with pytest.raises(TraceParseError, match=f"^{c_error}$"):
+        load_trace_file(deep)
+    assert scanners == ["c", "python"]
+    assert sys.getrecursionlimit() == limit
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {c_error.value}\n"
+    assert re.fullmatch(f"error: {c_error}\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
