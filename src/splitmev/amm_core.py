@@ -96,7 +96,8 @@ def marginal_out_unchecked(pool: PoolState, q):
     try:
         return pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
     except ZeroDivisionError:  # a float g * g underflowed: inf (or nan), as numpy divides
-        return float(pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / np.float64(0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / np.float64(0.0))
 
 
 def apply_swap(pool: PoolState, q: float) -> PoolState:

@@ -91,7 +91,6 @@ class ModelConfig:
 
     family: str
     parameters: dict = dataclasses.field(default_factory=dict)
-    floor: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +105,7 @@ class OptimizeConfig:
 def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
     doc, raw = _load_json(config_path)
     cfg = build(OptimizeConfig, doc)
-    model = model_from_config(cfg.model.family, cfg.model.parameters, cfg.model.floor)
+    model = model_from_config(cfg.model.family, cfg.model.parameters)
     result = plan(cfg.pool, cfg.params, model)
 
     n_curve = min(10 * result.num_chunks, 1000)

@@ -49,8 +49,8 @@ def _check_q(q, q_max=None):
     return q
 
 
-def _check_floor(floor: float, path: str = "floor"):
-    require(0.0 < floor <= 0.01, path, f"must lie in (0, 0.01], got {floor}")
+def _check_floor(floor: float):
+    require(0.0 < floor <= 0.01, "floor", f"must lie in (0, 0.01], got {floor}")
 
 
 class FailureModel:
@@ -64,16 +64,10 @@ class FailureModel:
 
     floor: float
 
-    def _raw(self, q: np.ndarray) -> np.ndarray:
+    def _raw_and_slope(self, q):
+        """The one kernel a family defines: the unfloored p(q) and p'(q), as plain
+        floats for a ``float`` q, as arrays (or a scalar slope) for an array q."""
         raise NotImplementedError
-
-    def _raw_derivative(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _raw_and_slope(self, q: float) -> tuple[float, float]:
-        """``_raw`` and ``_raw_derivative`` at one float q, as plain floats;
-        a family whose array forms are not plain arithmetic overrides it."""
-        return self._raw(q), self._raw_derivative(q)
 
     def domain_max(self) -> float | None:
         """Upper end of the declared domain, or None if unbounded."""
@@ -83,15 +77,15 @@ class FailureModel:
         q = _check_q(q, self.domain_max())
         if type(q) is float:
             return self.prob_and_slope_unchecked(q)[0]
-        p = np.maximum(self._raw(q), self.floor)
+        p = np.maximum(self._raw_and_slope(q)[0], self.floor)
         return p if p.ndim else float(p)
 
     def prob_derivative(self, q):
         q = _check_q(q, self.domain_max())
         if type(q) is float:
             return self.prob_and_slope_unchecked(q)[1]
-        raw = self._raw(q)
-        d = np.where(raw > self.floor, self._raw_derivative(q), 0.0)
+        raw, slope = self._raw_and_slope(q)
+        d = np.where(raw > self.floor, slope, 0.0)
         return d if d.ndim else float(d)
 
     def prob_and_slope_unchecked(self, q: float) -> tuple[float, float]:
@@ -112,11 +106,8 @@ class LinearClamped(FailureModel):
         require(0 < self.slope < math.inf, "slope", "must be positive and finite")
         _check_floor(self.floor)
 
-    def _raw(self, q):
-        return 1.0 - self.slope * q
-
-    def _raw_derivative(self, q):
-        return -self.slope  # prob_derivative broadcasts it over q
+    def _raw_and_slope(self, q):
+        return 1.0 - self.slope * q, -self.slope  # prob_derivative broadcasts the slope over q
 
 
 @dataclass(frozen=True)
@@ -137,25 +128,24 @@ class PowerConcave(FailureModel):
             require(np.isfinite(np.float64(self.q_max) ** self.alpha), "q_max", "q_max**alpha overflows")
         _check_floor(self.floor)
 
-    def _raw(self, q):
-        return 1.0 - (q / self.q_max) ** self.alpha
-
-    def _raw_derivative(self, q):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = -self.alpha * np.where(q > 0, q, 1.0) ** (self.alpha - 1.0) / self.q_max**self.alpha
+    def _raw_and_slope(self, q):
+        # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
+        # the slope by np.power, as the array path's vectorized pow can differ from **.
+        # Where (q / q_max)**alpha overflows, raw is -inf and the floor binds
+        scale = self.q_max**self.alpha
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if type(q) is float:
+                raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
+                if q > 0.0 and scale:
+                    return raw, -self.alpha * float(np.power(q, self.alpha - 1.0)) / scale
+            else:
+                raw = 1.0 - (q / self.q_max) ** self.alpha
+            # an array q, q = 0, or q_max**alpha underflowed to 0
+            d = -self.alpha * np.where(q > 0, q, 1.0) ** (self.alpha - 1.0) / scale
         # q=0 with alpha>1 has zero slope; alpha==1 has constant slope
         if self.alpha > 1.0:
             d = np.where(q > 0, d, 0.0)
-        return d
-
-    def _raw_and_slope(self, q):
-        # raw: a numpy scalar's ** as in _raw (a float's ** raises OverflowError);
-        # slope: np.power, as _raw_derivative's vectorized pow can differ from **
-        raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
-        scale = self.q_max**self.alpha
-        if q > 0.0 and scale:
-            return raw, -self.alpha * float(np.power(q, self.alpha - 1.0)) / scale
-        return raw, float(self._raw_derivative(q))  # q = 0, or q_max**alpha underflowed to 0
+        return raw, (float(d) if type(q) is float else d)
 
 
 @dataclass(frozen=True)
@@ -171,11 +161,8 @@ class QuadraticConcave(FailureModel):
         require(0 <= self.b < math.inf and self.a + self.b > 0, "b", "must be nonnegative and finite, with a + b > 0")
         _check_floor(self.floor)
 
-    def _raw(self, q):
-        return 1.0 - self.a * q - self.b * q * q
-
-    def _raw_derivative(self, q):
-        return -(self.a + 2.0 * self.b * q)
+    def _raw_and_slope(self, q):
+        return 1.0 - self.a * q - self.b * q * q, -(self.a + 2.0 * self.b * q)
 
 
 @dataclass(frozen=True)
@@ -205,15 +192,11 @@ class TableInterpolated(FailureModel):
     def domain_max(self):
         return self.qs[-1]
 
-    def _raw(self, q):
-        return np.interp(q, self.qs, self.ps)
-
-    def _raw_derivative(self, q):
-        qs, ps = np.asarray(self.qs), np.asarray(self.ps)
-        idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, qs.size - 2)
-        return (ps[idx + 1] - ps[idx]) / (qs[idx + 1] - qs[idx])
-
     def _raw_and_slope(self, q):
+        if type(q) is not float:
+            qs, ps = np.asarray(self.qs), np.asarray(self.ps)
+            idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, qs.size - 2)
+            return np.interp(q, self.qs, self.ps), (ps[idx + 1] - ps[idx]) / (qs[idx + 1] - qs[idx])
         # np.interp's formula slope * (q - qs[i]) + ps[i], with qs[i] <= q the
         # knot at or below q; at the last knot the slope is the last segment's
         qs, ps = self.qs, self.ps
@@ -232,11 +215,8 @@ class ConstantSuccess(FailureModel):
     def __post_init__(self):
         _check_floor(self.floor)
 
-    def _raw(self, q):
-        return 1.0 - 0.0 * q  # a float for a float q, an array for an array
-
-    def _raw_derivative(self, q):
-        return 0.0 * q
+    def _raw_and_slope(self, q):
+        return 1.0 - 0.0 * q, 0.0 * q  # floats for a float q, arrays for an array
 
 
 _FAMILIES = {
@@ -248,13 +228,11 @@ _FAMILIES = {
 }
 
 
-def from_config(family: str, parameters: dict, floor: float | None = None) -> FailureModel:
-    """Build a model from the ``model`` section of a config; errors are
-    ``ConfigError`` naming the field under ``config.model``."""
+def from_config(family: str, parameters: dict) -> FailureModel:
+    """Build a model from the ``model`` section of a config, the floor among
+    its ``parameters``; errors are ``ConfigError`` naming the field under
+    ``config.model``."""
     require(family in _FAMILIES, "config.model.family", f"unknown {family!r}; known: {sorted(_FAMILIES)}")
-    if floor is not None:
-        _check_floor(floor, path="config.model.floor")
-        parameters = {**parameters, "floor": floor}
     return build(_FAMILIES[family], parameters, "config.model.parameters")
 
 

@@ -76,14 +76,9 @@ class BotSpec:
 
     def tx_sizes(self) -> list[float]:
         """Per-opportunity transaction sizes, chunk-major for duplicates."""
-        if self.strategy == "single_shot":
-            return [self.trade_size]
-        if self.strategy == "split_n":
-            return [self.trade_size / self.n_chunks] * self.n_chunks
-        if self.strategy == "duplicate_k":
-            return [self.trade_size] * self.k_copies
-        chunk = self.trade_size / self.n_chunks
-        return [chunk for _ in range(self.n_chunks) for _ in range(self.k_copies)]
+        n = self.n_chunks if self.strategy in ("split_n", "split_and_duplicate") else 1
+        k = self.k_copies if self.strategy in ("duplicate_k", "split_and_duplicate") else 1
+        return [self.trade_size / n] * (n * k)
 
 
 @dataclass(frozen=True)

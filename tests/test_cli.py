@@ -64,7 +64,13 @@ MALFORMED_CONFIGS = {
     "sim-huge-price": ("simulate", edited(SIM, cex_price=10**400), "config.cex_price"),
     "sim-bot-check": ("simulate", edited(SIM, bots=[edited(BOT, trade_size=0.0)]), "config.bots[0].trade_size"),
     "opt-pool-check": ("optimize", edited(OPT, pool=edited(OPT["pool"], reserve_x=0.0)), "config.pool"),
-    "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.5)), "config.model.floor"),
+    # the floor is a field of every family, set in model.parameters only
+    "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.001)), "config.model.floor"),
+    "opt-model-parameters-floor": (
+        "optimize",
+        edited(OPT, model=edited(OPT["model"], parameters={"floor": 0.5})),
+        "config.model.parameters.floor",
+    ),
     "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
     # the kernels divide by q_max**alpha, which a float's ** cannot raise to 1e15000
     "opt-power-overflow": (
@@ -167,7 +173,7 @@ def test_optimize_no_root_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("reserve_y, theta", [(1e-200, "nan"), (1.0, "-inf")])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, dividing by the underflowed zero
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning for the underflowed divisor either
 def test_optimize_non_finite_threshold_exit_code(tmp_path, capsys, reserve_y, theta):
     # reserves near 1e-200: marginal_out at q = D divides by an underflowed
     # (x + (1-f)q)**2, so no finite threshold separates the two branches
@@ -199,6 +205,22 @@ def test_optimize_non_finite_profit_exit_code(tmp_path, capsys):
         "numerical anomaly: expected profit is -inf: the pool's arithmetic has left the float range\n"
     )
     assert list(out.iterdir()) == []  # no plan.json or profit_curve.csv with an infinity in it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning
+def test_optimize_power_overflow_where_floor_binds(tmp_path, capsys):
+    # (q / q_max)**400 overflows for q above about 5.9, where p is the floor:
+    # a silent, ordinary single-swap plan
+    cfg = edited(
+        OPT,
+        params=edited(OPT["params"], total_size=10.0, gas_overhead=0.01),
+        model={"family": "power_concave", "parameters": {"q_max": 1.0, "alpha": 400.0}},
+    )
+    out = tmp_path / "o"
+    assert main(["--quiet", "optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    plan = json.loads((out / "plan.json").read_text())
+    assert (plan["branch"], plan["num_chunks"], plan["chunk_size"]) == ("single_swap", 1, 10.0)
 
 
 def test_optimize_table_shorter_than_total_size(tmp_path, capsys):

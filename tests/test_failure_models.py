@@ -1,15 +1,21 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from splitmev import (
+    DEFAULT_FLOOR,
+    ArbParams,
     ConstantSuccess,
     DomainError,
+    FailureModel,
     LinearClamped,
+    PoolState,
     PowerConcave,
     QuadraticConcave,
     TableInterpolated,
+    plan,
     validate_assumptions,
 )
 from splitmev.failure_models import from_config
@@ -116,7 +122,7 @@ def test_validate_assumptions_reports_floor_region():
 
 
 def test_from_config():
-    m = from_config("power_concave", {"q_max": 100, "alpha": 2}, floor=0.001)
+    m = from_config("power_concave", {"q_max": 100, "alpha": 2, "floor": 0.001})
     assert isinstance(m, PowerConcave)
     assert m.floor == 0.001
     m = from_config("table_interpolated", {"qs": [0, 10], "ps": [1.0, 0.5]})
@@ -125,6 +131,31 @@ def test_from_config():
         from_config("exponential", {})
     with pytest.raises(DomainError):
         from_config("linear_clamped", {"nope": 1})
+
+
+@dataclass(frozen=True)
+class KernelOnlyLinear(FailureModel):
+    """A custom family that defines nothing but the kernel: LinearClamped's form."""
+
+    slope: float
+    floor: float = DEFAULT_FLOOR
+
+    def _raw_and_slope(self, q):
+        return 1.0 - self.slope * q, -self.slope
+
+
+def test_custom_family_needs_only_the_kernel():
+    custom, linear = KernelOnlyLinear(slope=0.001), LinearClamped(slope=0.001)
+
+    def bits(x):  # the type too: a float for a float q, an array for an array
+        return type(x), np.asarray(x).tobytes()
+
+    # the floor binds beyond q = 1000; a numpy scalar or 0-d array takes the array path
+    for q in (0.0, 250.0, 1000.0, 1500.0, np.float64(250.0), np.linspace(0.0, 2000.0, 41)):
+        for method in ("prob", "prob_derivative"):
+            assert bits(getattr(custom, method)(q)) == bits(getattr(linear, method)(q)), (method, q)
+    pool, params = PoolState(1000.0, 2000.0, 0.0), ArbParams(100.0, 1.9, 1.0)
+    assert repr(plan(pool, params, custom)) == repr(plan(pool, params, linear))
 
 
 def test_constant_success_boundary_model():

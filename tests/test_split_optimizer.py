@@ -217,7 +217,7 @@ def models_and_points(draw):
         model = TableInterpolated(qs=qs, ps=(1.0, *sorted(drops, reverse=True)), floor=floor)
         return model, draw(st.one_of(st.sampled_from(qs), st.floats(0.0, qs[-1])))
     else:
-        model = from_config("constant", {}, draw(st.sampled_from([None, floor])))
+        model = from_config("constant", draw(st.sampled_from([{}, {"floor": floor}])))
         span = 1e6
     return model, draw(st.floats(0.0, span))
 
