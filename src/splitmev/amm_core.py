@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DomainError", "PoolState", "swap_out", "marginal_out", "apply_swap", "spot_price"]
+__all__ = ["DomainError", "PoolState", "swap_out", "marginal_out", "apply_swap"]
 
 # Beyond this ratio x + (1-f)q loses too much relative precision for the
 # concavity/derivative guarantees to mean anything.
@@ -109,8 +109,3 @@ def apply_swap(pool: PoolState, q: float) -> PoolState:
         reserve_y=pool.reserve_y - dy,
         fee=pool.fee,
     )
-
-
-def spot_price(pool: PoolState) -> float:
-    """Instantaneous pool price y/x (Y per X)."""
-    return pool.reserve_y / pool.reserve_x

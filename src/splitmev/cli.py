@@ -193,7 +193,7 @@ def cmd_analyze(
         record = by_hash.get(tx_hash)
         for graph in load_trace_file(path):
             cls = classify_swap(graph, labels)
-            rows.append({"tx_hash": tx_hash, **cls.to_dict()})
+            rows.append({"tx_hash": tx_hash, **vars(cls)})  # the evidence tuple encodes as a JSON array
             if record is not None:
                 classified.append((cls, record))
 
@@ -203,15 +203,14 @@ def cmd_analyze(
             fh.write(encode(row))
             fh.write("\n")
 
-    for name, table in breakdown(classified, k=3).items():
+    for name, table in breakdown(classified).items():
         _write_csv(
             out_dir / f"breakdown_{name}.csv",
             [name, "count", "share"],
             [(v, n, f"{share:.6f}") for v, n, share in table],
         )
 
-    daily_all = revert_stats(records)
-    daily_pf = revert_stats(records, priority_only=True)
+    daily_all, daily_pf = revert_stats(records)
     diff = revert_differential(daily_all, daily_pf)
     _write_csv(
         out_dir / "revert_stats.csv",

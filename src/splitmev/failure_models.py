@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +28,6 @@ __all__ = [
     "TableInterpolated",
     "ConstantSuccess",
     "validate_assumptions",
-    "AssumptionCheck",
-    "ValidityReport",
     "DEFAULT_FLOOR",
 ]
 
@@ -131,9 +130,12 @@ class PowerConcave(FailureModel):
     def _raw_and_slope(self, q):
         # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
         # the slope by np.power, as the array path's vectorized pow can differ from **.
-        # Where (q / q_max)**alpha overflows, raw is -inf and the floor binds
+        # Where (q / q_max)**alpha overflows, raw is -inf and the floor binds. A float q <= q_max
+        # skips np.errstate, dearer than the kernel: no power overflows there (__post_init__
+        # checks that q_max**alpha is finite), and only a scale of 0 makes the slope divide by 0
         scale = self.q_max**self.alpha
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        quiet = type(q) is not float or q > self.q_max or not scale
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore") if quiet else nullcontext():
             if type(q) is float:
                 raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
                 if q > 0.0 and scale:
@@ -236,39 +238,18 @@ def from_config(family: str, parameters: dict) -> FailureModel:
     return build(_FAMILIES[family], parameters, "config.model.parameters")
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    first_violation_q: float | None = None
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    checks: tuple[AssumptionCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 # Second differences of an exactly-linear table are float noise, not
 # genuine convexity; this absolute slack separates the two.
 _CURVATURE_TOL = 1e-9
 
 
-def validate_assumptions(model: FailureModel, q_lo: float, q_hi: float, grid: int) -> ValidityReport:
+def validate_assumptions(model: FailureModel, q_lo: float, q_hi: float, grid: int) -> dict[str, float | None]:
     """Grid check of the hypotheses the split optimizer relies on.
 
     Checks p(0) = 1, p strictly decreasing, and p'' <= 0 via first/second
-    differences of ``prob`` on a uniform grid over [q_lo, q_hi]. Violations
-    are report entries, never exceptions.
+    differences of ``prob`` on a uniform grid over [q_lo, q_hi]. Returns
+    ``{check name: first violating q, or None}``; violations are entries,
+    never exceptions.
     """
     if not (0 <= q_lo < q_hi):
         raise DomainError("need 0 <= q_lo < q_hi")
@@ -276,18 +257,10 @@ def validate_assumptions(model: FailureModel, q_lo: float, q_hi: float, grid: in
         raise DomainError("grid must be >= 3")
     qs = np.linspace(q_lo, q_hi, grid)
     ps = np.asarray(model.prob(qs))
-
-    checks = [AssumptionCheck("p(0)=1", float(model.prob(0.0)) == 1.0)]
-
-    d1 = np.diff(ps)
-    bad1 = np.nonzero(d1 >= 0)[0]
-    checks.append(
-        AssumptionCheck("p'<0", bad1.size == 0, float(qs[bad1[0]]) if bad1.size else None)
-    )
-
-    d2 = ps[2:] - 2.0 * ps[1:-1] + ps[:-2]
-    bad2 = np.nonzero(d2 > _CURVATURE_TOL)[0]
-    checks.append(
-        AssumptionCheck("p''<=0", bad2.size == 0, float(qs[bad2[0] + 1]) if bad2.size else None)
-    )
-    return ValidityReport(tuple(checks))
+    bad1 = np.nonzero(np.diff(ps) >= 0)[0]
+    bad2 = np.nonzero(ps[2:] - 2.0 * ps[1:-1] + ps[:-2] > _CURVATURE_TOL)[0]
+    return {
+        "p(0)=1": None if model.prob(0.0) == 1.0 else 0.0,
+        "p'<0": float(qs[bad1[0]]) if bad1.size else None,
+        "p''<=0": float(qs[bad2[0] + 1]) if bad2.size else None,
+    }

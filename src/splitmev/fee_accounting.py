@@ -1,8 +1,8 @@
 """Gas-fee decomposition and aggregate revert statistics.
 
 All fee arithmetic stays in integer wei; floats appear only in reported
-ratios and fee quantiles. Records round-trip through a fixed-header CSV so
-they interchange cleanly with the trace pipeline and external exports.
+ratios and fee quantiles. Records are read from a fixed-header CSV, whose
+row reader the trace pipeline's label CSV shares.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import read_input
-
 __all__ = [
     "TxRecord",
     "FeeBreakdown",
@@ -27,7 +25,6 @@ __all__ = [
     "position_histogram",
     "priority_fee_distribution",
     "read_records_csv",
-    "write_records_csv",
     "TX_RECORD_HEADER",
 ]
 
@@ -101,27 +98,24 @@ def decompose(record: TxRecord) -> FeeBreakdown:
     )
 
 
-def revert_stats(
-    records: list[TxRecord],
-    priority_only: bool = False,
-    priority_threshold: int = 0,
-) -> dict[tuple[str, dt.date], float]:
-    """Revert rate per (chain, day).
-
-    With priority_only, only transactions whose priority fee per gas
-    exceeds ``priority_threshold`` are counted; days with an empty subset
-    are omitted.
-    """
+def revert_stats(records: list[TxRecord]) -> tuple[dict, dict]:
+    """Revert rate per (chain, day) over all transactions, and over those that pay
+    a priority fee (a day where none pays one is left out of the second table)."""
     totals: Counter = Counter()
     reverts: Counter = Counter()
+    pf_totals: Counter = Counter()
+    pf_reverts: Counter = Counter()
     for r in records:
-        if priority_only and r.priority_fee_per_gas <= priority_threshold:
-            continue
         key = (r.chain, r.day)
         totals[key] += 1
-        if r.reverted:
-            reverts[key] += 1
-    return {key: reverts[key] / totals[key] for key in sorted(totals)}
+        reverts[key] += r.reverted
+        if r.priority_fee_per_gas > 0:
+            pf_totals[key] += 1
+            pf_reverts[key] += r.reverted
+    return (
+        {key: reverts[key] / totals[key] for key in sorted(totals)},
+        {key: pf_reverts[key] / pf_totals[key] for key in sorted(pf_totals)},
+    )
 
 
 def revert_differential(all_rates: dict, pf_rates: dict) -> dict[tuple[str, dt.date], float]:
@@ -130,22 +124,16 @@ def revert_differential(all_rates: dict, pf_rates: dict) -> dict[tuple[str, dt.d
     return {key: pf_rates[key] - all_rates[key] for key in pf_rates}
 
 
-def position_histogram(records: list[TxRecord], status_filter: str | None = "reverted") -> dict[int, int]:
-    """Counts of in-block position (tx_index) for records matching the
-    status filter (None = all)."""
-    counts: Counter = Counter(
-        r.tx_index for r in records if status_filter is None or r.status == status_filter
-    )
-    return dict(sorted(counts.items()))
+def position_histogram(records: list[TxRecord]) -> dict[int, int]:
+    """Counts of in-block position (tx_index) of reverted transactions."""
+    return dict(sorted(Counter(r.tx_index for r in records if r.reverted).items()))
 
 
-def priority_fee_distribution(
-    records: list[TxRecord],
-    quantiles: tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.99),
-) -> dict:
+def priority_fee_distribution(records: list[TxRecord]) -> dict:
     """Priority-fee-per-gas profile of reverted transactions: share paying
-    zero, share paying exactly 1 wei, and the requested quantiles. The
-    quantiles are float64, not integer wei: above 2**53 wei they round."""
+    zero, share paying exactly 1 wei, and the quartiles, 0.9 and 0.99
+    quantiles. The quantiles are float64, not integer wei: above 2**53 wei
+    they round."""
     fees = [r.priority_fee_per_gas for r in records if r.reverted]
     if not fees:
         return {"count": 0, "zero_fee_share": 0.0, "one_wei_share": 0.0, "quantiles": {}}
@@ -154,25 +142,31 @@ def priority_fee_distribution(
         "count": len(fees),
         "zero_fee_share": float(np.mean(arr == 0)),
         "one_wei_share": float(np.mean(arr == 1)),
-        "quantiles": {q: float(np.quantile(arr, q)) for q in quantiles},
+        "quantiles": {q: float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75, 0.9, 0.99)},
     }
 
 
-def read_records_csv(path, text: str | None = None) -> list[TxRecord]:
-    """The records of a ``TX_RECORD_HEADER`` CSV file; ``text`` is its decoded
-    content if the caller has read it, else the file at ``path`` is read as UTF-8."""
-    if text is None:
-        text = read_input(path, SchemaError)[0]
-    n = len(TX_RECORD_HEADER)
-    records = []
+def _csv_rows(path, text: str, header: list[str]):
+    """The ``(line number, cells)`` rows after a CSV text's header, each of one cell
+    per column, numbered as ``csv.DictReader`` does (blank rows are not counted)."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != TX_RECORD_HEADER:
-        raise SchemaError(f"{path}: expected header {TX_RECORD_HEADER}, got {header}")
-    # numbered as csv.DictReader numbers rows: blank ones are skipped, not counted
-    for line_no, row in enumerate(filter(None, reader), start=2):
-        if len(row) != n:
-            raise SchemaError(f"line {line_no}: expected {n} cells")
+    try:
+        got = next(reader, None)
+        if got != header:
+            raise SchemaError(f"{path}: expected header {header}, got {got}")
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) != len(header):
+                raise SchemaError(f"{path} line {line_no}: expected {len(header)} cells")
+            yield line_no, row
+    except csv.Error as exc:  # a cell over csv's field size limit (on Python 3.10, also a NUL)
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
+def read_records_csv(path, text: str) -> list[TxRecord]:
+    """The records of ``text``, the decoded content of the ``TX_RECORD_HEADER``
+    CSV file at ``path``; errors name the path and the line."""
+    records = []
+    for line_no, row in _csv_rows(path, text, TX_RECORD_HEADER):
         tx_hash, day, block, index, status, sender, to, price, tip, used, l1_fee, chain = row
         try:
             records.append(TxRecord(
@@ -180,13 +174,5 @@ def read_records_csv(path, text: str | None = None) -> list[TxRecord]:
                 int(price), int(tip), int(used), int(l1_fee), chain,
             ))
         except ValueError as exc:  # a bad cell, or a TxRecord check (SchemaError)
-            raise SchemaError(f"line {line_no}: {exc}") from exc
+            raise SchemaError(f"{path} line {line_no}: {exc}") from exc
     return records
-
-
-def write_records_csv(path, records: list[TxRecord]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TX_RECORD_HEADER)
-        for r in records:
-            writer.writerow([getattr(r, f.name) if f.name != "day" else r.day.isoformat() for f in fields(r)])

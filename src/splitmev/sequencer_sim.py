@@ -45,7 +45,6 @@ __all__ = [
     "execute_tx",
     "run",
     "summarize",
-    "fee_rank_correlation",
 ]
 
 STRATEGIES = ("single_shot", "split_n", "duplicate_k", "split_and_duplicate")
@@ -326,13 +325,3 @@ def summarize(report: SimReport) -> dict:
         "priority_revert_rate": pf_rate,
         "priority_revert_differential": (pf_rate - revert_rate) if pf_rate is not None else None,
     }
-
-
-def fee_rank_correlation(report: SimReport) -> float:
-    """Pearson correlation between priority fee and global execution rank
-    (0 = first executed). NaN when either side is constant."""
-    fees = np.array([o.priority_fee for o in report.outcomes])
-    ranks = np.arange(len(fees), dtype=float)
-    if len(fees) < 2 or np.all(fees == fees[0]):
-        return float("nan")
-    return float(np.corrcoef(fees, ranks)[0, 1])

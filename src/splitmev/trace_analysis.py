@@ -16,8 +16,6 @@ construction.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 import sys
@@ -27,7 +25,7 @@ from json.scanner import py_make_scanner
 from typing import NamedTuple
 
 from .config import read_input
-from .fee_accounting import SchemaError, TxRecord
+from .fee_accounting import SchemaError, TxRecord, _csv_rows
 
 __all__ = [
     "ExecutionGraph",
@@ -159,30 +157,17 @@ class LabelLibrary:
         self.entries[entry.address.lower()] = entry
 
 
-def read_labels_csv(path, text: str | None = None) -> LabelLibrary:
-    """The labels of a ``LABEL_HEADER`` CSV file; ``text`` is its decoded
-    content if the caller has read it, else the file at ``path`` is read as UTF-8."""
-    if text is None:
-        text = read_input(path, SchemaError)[0]
+def read_labels_csv(path, text: str) -> LabelLibrary:
+    """The labels of ``text``, the decoded content of the ``LABEL_HEADER`` CSV
+    file at ``path``; errors name the path and the line."""
     lib = LabelLibrary()
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames != LABEL_HEADER:
-        raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
-    for i, row in enumerate(reader, start=2):
-        addr = row["address"].lower()
+    for line_no, row in _csv_rows(path, text, LABEL_HEADER):
+        address, kind, dex, pair, fee_tier, owner_label, has_code = row
+        addr = address.lower()
         if not _ADDR_RE.fullmatch(addr):
-            raise SchemaError(f"{path} line {i}: bad address {row['address']!r}")
-        lib.add(
-            LabelEntry(
-                address=addr,
-                kind=row["kind"],
-                dex=row["dex"],
-                pair=row["pair"],
-                fee_tier=row["fee_tier"],
-                owner_label=row["owner_label"],
-                has_code=row["has_code"].strip().lower() in ("1", "true", "yes"),
-            )
-        )
+            raise SchemaError(f"{path} line {line_no}: bad address {address!r}")
+        has_code = has_code.strip().lower() in ("1", "true", "yes")
+        lib.add(LabelEntry(addr, kind, dex, pair, fee_tier, owner_label, has_code))
     return lib
 
 
@@ -193,15 +178,6 @@ class SwapClassification:
     pool: str | None = None
     pair: str | None = None
     evidence: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "is_swap": self.is_swap,
-            "dex": self.dex,
-            "pool": self.pool,
-            "pair": self.pair,
-            "evidence": list(self.evidence),
-        }
 
 
 def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassification:
@@ -288,14 +264,10 @@ def identify_bots(
     return bots
 
 
-def breakdown(
-    classified: list[tuple[SwapClassification, TxRecord]], k: int
-) -> dict[str, list[tuple[str, int, float]]]:
-    """Top-k (value, count, share) tables over the reverted-swap subset for
+def breakdown(classified: list[tuple[SwapClassification, TxRecord]]) -> dict[str, list[tuple[str, int, float]]]:
+    """Top-3 (value, count, share) tables over the reverted-swap subset for
     target DEX, token pair, and transaction sender. Ties break
     lexicographically."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     swaps = [(c, r) for c, r in classified if c.is_swap]
     total = len(swaps)
     tables: dict[str, list[tuple[str, int, float]]] = {}
@@ -305,7 +277,7 @@ def breakdown(
         ("sender", lambda c, r: r.from_address),
     ):
         counts = Counter(key(c, r) for c, r in swaps)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
         tables[name] = [(v, n, n / total) for v, n in ranked] if total else []
     return tables
 

@@ -69,6 +69,16 @@ def residual(pool, params, model, q):
     return lhs - rhs, rhs
 
 
+def fee_rank_correlation(report):
+    """Pearson correlation between priority fee and global execution rank
+    (0 = first executed) in a simulator report. NaN when either side is constant."""
+    fees = np.array([o.priority_fee for o in report.outcomes])
+    ranks = np.arange(len(fees), dtype=float)
+    if len(fees) < 2 or np.all(fees == fees[0]):
+        return float("nan")
+    return float(np.corrcoef(fees, ranks)[0, 1])
+
+
 def compliant_instances(seed, count, **kwargs):
     rng = np.random.default_rng(seed)
     out = []

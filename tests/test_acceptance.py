@@ -34,10 +34,9 @@ from splitmev import (
     swap_out,
     threshold,
 )
-from splitmev.sequencer_sim import fee_rank_correlation
 from splitmev.trace_analysis import LabelEntry, LabelLibrary
 
-from conftest import compliant_instances, residual
+from conftest import compliant_instances, fee_rank_correlation, residual
 from test_trace_analysis import _record
 
 
@@ -246,14 +245,15 @@ def test_criterion_6_duplicate_spam_accounting(scenarios_dir):
 
 
 def test_criterion_7_trace_fixture_corpus(fixtures_dir):
-    labels = read_labels_csv(fixtures_dir / "labels.csv")
+    path = fixtures_dir / "labels.csv"
+    labels = read_labels_csv(path, path.read_text(encoding="utf-8"))
     with open(fixtures_dir / "expected_classifications.json") as fh:
         expected = json.load(fh)
     correct = 0
     paths = sorted((fixtures_dir / "traces").glob("*.json"))
     for path in paths:
         (graph,) = load_trace_file(path)
-        got = classify_swap(graph, labels).to_dict()
+        got = vars(classify_swap(graph, labels))
         want = expected[path.stem]
         if {k: got[k] for k in want} == want:
             correct += 1
@@ -286,7 +286,8 @@ def test_criterion_7_trace_fixture_corpus(fixtures_dir):
 
 
 def test_criterion_8_fee_decomposition_exact(fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
+    path = fixtures_dir / "records.csv"
+    records = read_records_csv(path, path.read_text(encoding="utf-8"))
     exact = True
     saw_clamp = False
     for r in records:
@@ -306,7 +307,7 @@ def test_criterion_8_fee_decomposition_exact(fixtures_dir):
 
     import datetime as dt
 
-    rates_ok = revert_stats(records) == {
+    rates_ok = revert_stats(records)[0] == {
         ("arbitrum", dt.date(2025, 5, 1)): 0.5,
         ("base", dt.date(2025, 5, 1)): 0.75,
         ("base", dt.date(2025, 5, 2)): 0.2,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitmev import DomainError, PoolState, apply_swap, marginal_out, spot_price, swap_out
+from splitmev import DomainError, PoolState, apply_swap, marginal_out, swap_out
 from splitmev.amm_core import _MAX_SIZE_RATIO
 
 from conftest import pools
@@ -46,12 +46,6 @@ def test_apply_swap_examples():
     new = apply_swap(PoolState(1000, 2000, 0.003), 10)
     assert new.reserve_x == pytest.approx(1009.97, rel=1e-15)
     assert new.reserve_y == pytest.approx(1980.2568393120588, rel=1e-14)
-
-
-def test_spot_price():
-    assert spot_price(PoolState(1000, 2000, 0.003)) == 2.0
-    assert spot_price(PoolState(1, 1, 0)) == 1.0
-    assert spot_price(PoolState(2000, 1000, 0)) == 0.5
 
 
 def test_domain_errors():

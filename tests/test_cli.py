@@ -454,23 +454,22 @@ def test_analyze_empty_traces_dir(tmp_path, fixtures_dir):
 
 
 def test_analyze_bad_label_header(tmp_path, fixtures_dir, capsys):
+    header = "address,kind,dex,pair,fee_tier,owner_label,has_code\n"
+    address = "0x" + "a" * 40
+    bad_inputs = {  # labels text -> the error after the path
+        f"address,kind\n{address},router\n": ": expected header",
+        f"{header}{address},router,uniswap,,,\n": " line 2: expected 7 cells",  # 6 cells
+        f"{header}{address},router,uniswap,,,,true,extra\n": " line 2: expected 7 cells",  # 8 cells
+        f"{header}{address},router,{'x' * 200_000},,,,true\n": " line 2: field larger than field limit",
+    }
     bad = tmp_path / "labels.csv"
-    bad.write_text("address,kind\n0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa01,router\n")
-    rc = main(
-        [
-            "analyze",
-            "--traces",
-            str(fixtures_dir / "traces"),
-            "--labels",
-            str(bad),
-            "--records",
-            str(fixtures_dir / "records.csv"),
-            "--out",
-            str(tmp_path / "o"),
-        ]
-    )
-    assert rc == 2
-    assert "header" in capsys.readouterr().err
+    for text, message in bad_inputs.items():
+        bad.write_text(text)
+        argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(bad)]
+        argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}{message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_file", ["trace", "labels"])

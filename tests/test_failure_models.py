@@ -49,6 +49,23 @@ def test_power_concave_values():
     assert m.prob_derivative(500) == pytest.approx(-0.001, rel=1e-12)  # -2*500/1e6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "q_max, alpha, q, p, slope",
+    [
+        (1.0, 400.0, 10.0, DEFAULT_FLOOR, 0.0),  # (q / q_max)**alpha and q**(alpha - 1) overflow
+        (1.0, 400.0, 1.5, DEFAULT_FLOOR, 0.0),  # above q_max, no overflow
+        (1e-200, 2.0, 1e-201, 0.99, -math.inf),  # q_max**alpha underflows to 0: the slope divides by it
+        (1e-200, 2.0, 0.0, 1.0, 0.0),
+    ],
+)
+def test_power_concave_float_path_is_silent(q_max, alpha, q, p, slope):
+    # the float path enters np.errstate only above q_max or where q_max**alpha is 0
+    m = PowerConcave(q_max=q_max, alpha=alpha)
+    assert (m.prob(q), m.prob_derivative(q)) == (p, slope)
+    assert (m.prob(np.array(q)), m.prob_derivative(np.array(q))) == (p, slope)
+
+
 def test_table_interpolation_and_domain():
     m = TableInterpolated(qs=(0, 100, 200), ps=(1.0, 0.8, 0.5))
     assert m.prob(50) == pytest.approx(0.9)
@@ -97,8 +114,9 @@ def test_derivative_matches_finite_differences():
 
 
 def test_validate_assumptions_pass_cases():
-    assert validate_assumptions(LinearClamped(slope=0.001), 0, 900, 101).all_pass
-    assert validate_assumptions(PowerConcave(q_max=1000, alpha=2), 0, 990, 101).all_pass
+    passed = {"p(0)=1": None, "p'<0": None, "p''<=0": None}
+    assert validate_assumptions(LinearClamped(slope=0.001), 0, 900, 101) == passed
+    assert validate_assumptions(PowerConcave(q_max=1000, alpha=2), 0, 990, 101) == passed
 
 
 def test_validate_assumptions_convex_table_fails():
@@ -107,18 +125,15 @@ def test_validate_assumptions_convex_table_fails():
     qs = tuple(np.linspace(0, 500, 21))
     ps = tuple(math.exp(-lam * q) for q in qs)
     report = validate_assumptions(TableInterpolated(qs=qs, ps=ps), 0, 500, 21)
-    assert not report.all_pass
-    curv = report["p''<=0"]
-    assert not curv.passed
-    assert curv.first_violation_q is not None
-    assert report["p(0)=1"].passed
-    assert report["p'<0"].passed
+    assert report["p''<=0"] == 25.0  # the first interior knot
+    assert report["p(0)=1"] is None
+    assert report["p'<0"] is None
 
 
 def test_validate_assumptions_reports_floor_region():
     # on a range where the floor binds, p stops decreasing
     report = validate_assumptions(LinearClamped(slope=0.001), 0, 5000, 51)
-    assert not report["p'<0"].passed
+    assert report["p'<0"] == 1000.0  # p reaches the floor at q = 1 / slope
 
 
 def test_from_config():

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import re
 
 import pytest
 
@@ -13,7 +14,6 @@ from splitmev import (
     read_records_csv,
     revert_differential,
     revert_stats,
-    write_records_csv,
 )
 from splitmev.fee_accounting import TX_RECORD_HEADER
 
@@ -91,23 +91,12 @@ def test_revert_stats_small_example():
         make_record(status="success", priority_fee_per_gas=0),
         make_record(status="success", priority_fee_per_gas=0, chain="base"),
     ]
-    rates = revert_stats(records)
+    rates, pf = revert_stats(records)
     assert rates == {("arbitrum", DAY): pytest.approx(1 / 3), ("base", DAY): 0.0}
     # priority subset: only the reverted tx pays a priority fee
-    pf = revert_stats(records, priority_only=True)
     assert pf == {("arbitrum", DAY): 1.0}
     diff = revert_differential(rates, pf)
     assert diff == {("arbitrum", DAY): pytest.approx(2 / 3)}
-
-
-def test_revert_stats_threshold():
-    records = [
-        make_record(status="reverted", priority_fee_per_gas=1),
-        make_record(status="success", priority_fee_per_gas=10),
-    ]
-    assert revert_stats(records, priority_only=True, priority_threshold=1) == {
-        ("arbitrum", DAY): 0.0
-    }
 
 
 def test_stats_permutation_invariant():
@@ -119,10 +108,15 @@ def test_stats_permutation_invariant():
     assert position_histogram(records) == position_histogram(records[::-1])
 
 
+def read_fixture_records(fixtures_dir):
+    path = fixtures_dir / "records.csv"
+    return read_records_csv(path, path.read_text(encoding="utf-8"))
+
+
 def test_fixture_revert_rates(fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
+    records = read_fixture_records(fixtures_dir)
     assert len(records) == 49
-    rates = revert_stats(records)
+    rates = revert_stats(records)[0]
     assert rates == {
         ("arbitrum", dt.date(2025, 5, 1)): pytest.approx(0.5),
         ("base", dt.date(2025, 5, 1)): pytest.approx(0.75),
@@ -131,26 +125,21 @@ def test_fixture_revert_rates(fixtures_dir):
 
 
 def test_fixture_priority_differential(fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
-    pf = revert_stats(records, priority_only=True)
+    rates, pf = revert_stats(read_fixture_records(fixtures_dir))
     assert pf[("arbitrum", dt.date(2025, 5, 1))] == pytest.approx(2 / 3)
     assert pf[("base", dt.date(2025, 5, 1))] == pytest.approx(1.0)
-    diff = revert_differential(revert_stats(records), pf)
+    diff = revert_differential(rates, pf)
     assert diff[("arbitrum", dt.date(2025, 5, 1))] == pytest.approx(1 / 6)
     assert diff[("base", dt.date(2025, 5, 1))] == pytest.approx(0.25)
     assert ("base", dt.date(2025, 5, 2)) not in diff
 
 
 def test_fixture_position_histogram(fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
-    assert position_histogram(records) == {0: 10, 1: 6, 2: 4, 3: 3, 4: 1}
-    all_hist = position_histogram(records, status_filter=None)
-    assert sum(all_hist.values()) == 49
+    assert position_histogram(read_fixture_records(fixtures_dir)) == {0: 10, 1: 6, 2: 4, 3: 3, 4: 1}
 
 
 def test_fixture_priority_fee_distribution(fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
-    dist = priority_fee_distribution(records)
+    dist = priority_fee_distribution(read_fixture_records(fixtures_dir))
     assert dist["count"] == 24
     assert dist["zero_fee_share"] == pytest.approx(0.5)
     assert dist["one_wei_share"] == pytest.approx(10 / 24)
@@ -162,18 +151,11 @@ def test_priority_fee_distribution_empty():
     assert dist == {"count": 0, "zero_fee_share": 0.0, "one_wei_share": 0.0, "quantiles": {}}
 
 
-def test_csv_round_trip(tmp_path, fixtures_dir):
-    records = read_records_csv(fixtures_dir / "records.csv")
-    out = tmp_path / "copy.csv"
-    write_records_csv(out, records)
-    assert read_records_csv(out) == records
-
-
 def test_csv_rejects_bad_header(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("tx_hash,day,status\n0x1,2025-05-01,success\n")
-    with pytest.raises(SchemaError):
-        read_records_csv(bad)
+    with pytest.raises(SchemaError, match="expected header"):
+        read_records_csv(bad, bad.read_text())
 
 
 def test_csv_rejects_bad_row(tmp_path):
@@ -197,8 +179,8 @@ def test_csv_rejects_bad_row(tmp_path):
         )
         + "\n0x1,2025-05-01,1,0,success,0xa,0xb,ten,0,21000,0,base\n"
     )
-    with pytest.raises(SchemaError, match="line 2"):
-        read_records_csv(bad)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))} line 2: invalid literal"):
+        read_records_csv(bad, bad.read_text())
 
 
 @pytest.mark.parametrize("cells", [11, 5, 13])
@@ -208,8 +190,8 @@ def test_csv_rejects_short_row(tmp_path, cells):
     row = "0x1,2025-05-01,1,0,success,0xa,0xb,10,0,21000,0,base,extra".split(",")
     bad = tmp_path / "short.csv"
     bad.write_text(",".join(TX_RECORD_HEADER) + "\n" + ",".join(row[:cells]) + "\n")
-    with pytest.raises(SchemaError, match="line 2: expected 12 cells"):
-        read_records_csv(bad)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))} line 2: expected 12 cells$"):
+        read_records_csv(bad, bad.read_text())
 
 
 def dictreader_records(path):
@@ -261,15 +243,15 @@ def with_cell(name, value):
 def test_records_parser_matches_dictreader_reference(tmp_path, body):
     path = tmp_path / "records.csv"
     path.write_text(",".join(TX_RECORD_HEADER) + "\n" + "\n".join(body) + "\n")
+    text = path.read_text(encoding="utf-8")
     try:
         expected = dictreader_records(path)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as info:
-            read_records_csv(path)
-        assert str(info.value) == str(exc)
+            read_records_csv(path, text)
+        assert str(info.value) == f"{path} {exc}"  # a row error names the file
     else:
-        assert read_records_csv(path) == expected
-        assert read_records_csv(path, path.read_text(encoding="utf-8")) == expected
+        assert read_records_csv(path, text) == expected
 
 
 @pytest.mark.parametrize("text", ["", "\n" + ",".join(TX_RECORD_HEADER) + "\n", "tx_hash,day\n"])
@@ -279,5 +261,5 @@ def test_records_header_errors_match_dictreader_reference(tmp_path, text):
     with pytest.raises(SchemaError) as expected:
         dictreader_records(path)
     with pytest.raises(SchemaError) as info:
-        read_records_csv(path)
+        read_records_csv(path, text)
     assert str(info.value) == str(expected.value)

@@ -19,8 +19,9 @@ from splitmev.sequencer_sim import (
     TxOutcome,
     _opportunity_times,
     execute_tx,
-    fee_rank_correlation,
 )
+
+from conftest import fee_rank_correlation
 
 POOL = PoolState(1000.0, 2000.0, 0.003)
 

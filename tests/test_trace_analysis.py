@@ -30,7 +30,8 @@ SENDER = "0xffffffffffffffffffffffffffffffffffffff02"
 
 @pytest.fixture(scope="module")
 def labels(fixtures_dir):
-    return read_labels_csv(fixtures_dir / "labels.csv")
+    path = fixtures_dir / "labels.csv"
+    return read_labels_csv(path, path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ def test_corpus_classifications(fixtures_dir, labels, expected):
         (graph,) = load_trace_file(path)
         result = classify_swap(graph, labels)
         want = expected[path.stem]
-        got = result.to_dict()
+        got = vars(result)
         assert {k: got[k] for k in want} == want, path.stem
 
 
@@ -417,8 +418,8 @@ def test_mixed_case_repeats_are_one_node():
 def test_labels_csv_bad_header(tmp_path):
     bad = tmp_path / "labels.csv"
     bad.write_text("address,kind\n0x1,router\n")
-    with pytest.raises(SchemaError):
-        read_labels_csv(bad)
+    with pytest.raises(SchemaError, match="expected header"):
+        read_labels_csv(bad, bad.read_text())
 
 
 def _record(to, n=0, status="reverted"):
@@ -500,7 +501,8 @@ def test_identify_bots_rules():
 def test_identify_bots_fixture(fixtures_dir, labels):
     from splitmev import read_records_csv
 
-    records = read_records_csv(fixtures_dir / "records.csv")
+    path = fixtures_dir / "records.csv"
+    records = read_records_csv(path, path.read_text(encoding="utf-8"))
     assert identify_bots(records, labels, min_count=3) == {
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee01",
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee02",
@@ -512,19 +514,18 @@ def test_breakdown_counts_and_ties(fixtures_dir, labels, expected):
     for path in sorted((fixtures_dir / "traces").glob("*.json")):
         (graph,) = load_trace_file(path)
         pairs.append((classify_swap(graph, labels), _record("0x" + "e" * 40)))
-    tables = breakdown(pairs, k=3)
+    tables = breakdown(pairs)
     # 10 swaps: 5 v3 uniswap, 1 v2 uniswap, 1 v2 sushi, 3 v4 uniswap
     assert tables["dex"][0] == ("uniswap_v3", 5, 0.5)
     assert tables["dex"][1] == ("uniswap_v4", 3, 0.3)
     # ties at count 1 break lexicographically
     assert tables["dex"][2] == ("sushiswap_v2", 1, 0.1)
+    assert len(tables["dex"]) == 3  # top 3: uniswap_v2 is left out
     assert tables["pair"][0] == ("USDC-WETH", 6, 0.6)
     assert tables["sender"][0][1] == 10
     # order independence
-    assert breakdown(pairs[::-1], k=3) == tables
+    assert breakdown(pairs[::-1]) == tables
 
 
-def test_breakdown_empty_and_bad_k():
-    assert breakdown([], k=2) == {"dex": [], "pair": [], "sender": []}
-    with pytest.raises(ValueError):
-        breakdown([], k=0)
+def test_breakdown_empty():
+    assert breakdown([]) == {"dex": [], "pair": [], "sender": []}
