@@ -1,9 +1,12 @@
 """Command-line entry point: optimize / simulate / analyze.
 
-Every subcommand writes its outputs (plus a run manifest) into a single
-output directory and nowhere else. Exit codes: 0 ok; 2 config or schema
-error, an unreadable or non-UTF-8 input, or an unwritable output; 3
-numerical anomaly (no interior root, or a non-finite threshold or profit).
+Every subcommand writes its outputs into a single output directory (a
+directory ``simulate``, into one subdirectory per scenario) and nowhere
+else, then yields each directory it filled. ``main`` is the only code that
+writes a ``manifest.json`` or prints a progress line. Exit codes: 0 ok; 2
+config or schema error, an unreadable or non-UTF-8 input, or an unwritable
+output; 3 numerical anomaly (no interior root, or a non-finite threshold or
+profit).
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ EXIT_CONFIG = 2
 EXIT_ANOMALY = 3
 
 
-def _log(quiet: bool, msg: str):
-    if not quiet:
-        print(msg)
-
-
 def _load_json(path: Path) -> tuple[dict, bytes]:
     """The parsed document and the bytes it was parsed from, read once."""
     text, raw = read_input(path, ConfigError)
@@ -64,18 +62,6 @@ def _load_json(path: Path) -> tuple[dict, bytes]:
 def _write_json(path: Path, doc: dict):
     """``doc`` as indented, key-sorted JSON, encoded in one piece and written once."""
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: Path, subcommand: str, inputs: dict[str, str], config_sha256: str):
-    manifest = {
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "config_sha256": config_sha256,
-        "out_dir": str(out_dir),
-        "tool_version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -102,8 +88,8 @@ class OptimizeConfig:
     model: ModelConfig
 
 
-def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
-    doc, raw = _load_json(config_path)
+def cmd_optimize(args, out_dir: Path):
+    doc, raw = _load_json(args.config)
     cfg = build(OptimizeConfig, doc)
     model = model_from_config(cfg.model.family, cfg.model.parameters)
     result = plan(cfg.pool, cfg.params, model)
@@ -113,9 +99,8 @@ def cmd_optimize(config_path: Path, out_dir: Path, quiet: bool) -> int:
 
     _write_json(out_dir / "plan.json", vars(result))
     _write_csv(out_dir / "profit_curve.csv", ["n", "expected_total_profit"], curve)
-    _write_manifest(out_dir, "optimize", {"config": str(config_path)}, hashlib.sha256(raw).hexdigest())
-    _log(quiet, f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}")
-    return EXIT_OK
+    progress = f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}"
+    yield out_dir, {"config": str(args.config)}, hashlib.sha256(raw), progress
 
 
 def _json_files(directory: Path) -> list[Path]:
@@ -124,71 +109,48 @@ def _json_files(directory: Path) -> list[Path]:
     return sorted((p for p in directory.iterdir() if p.name.endswith(".json")), key=lambda p: p.name)
 
 
-def _simulate_one(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool):
-    doc, raw = _load_json(config_path)
-    config = SimConfig.from_dict(doc)
-    if seed_override is not None:
-        config = dataclasses.replace(config, seed=seed_override)
-    report = run(config)
-    metrics = summarize(report)
+def cmd_simulate(args, out_dir: Path):
+    runs = [(args.config, out_dir)]
+    if args.config.is_dir():
+        runs = [(cfg, out_dir / cfg.stem) for cfg in _json_files(args.config)]
+        if not runs:
+            raise ConfigError(f"{args.config}: no *.json scenario configs found")
+    for config_path, sub in runs:
+        sub.mkdir(parents=True, exist_ok=True)
+        doc, raw = _load_json(config_path)
+        config = SimConfig.from_dict(doc)
+        if args.seed_override is not None:
+            config = dataclasses.replace(config, seed=args.seed_override)
+        report = run(config)
+        metrics = summarize(report)
 
-    with open(out_dir / "report.json", "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    _write_json(out_dir / "metrics.json", metrics)
-    _write_csv(
-        out_dir / "revert_position_histogram.csv",
-        ["position", "count"],
-        sorted(metrics["revert_position_histogram"].items()),
-    )
-    _write_csv(
-        out_dir / "per_bot_profit.csv",
-        ["bot", "profit"],
-        sorted(metrics["per_bot_profit"].items()),
-    )
-    _write_manifest(out_dir, "simulate", {"config": str(config_path)}, hashlib.sha256(raw).hexdigest())
-    _log(
-        quiet,
-        f"{config_path.name}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}",
-    )
+        with open(sub / "report.json", "w") as fh:
+            fh.write(report.to_json())
+            fh.write("\n")
+        del report  # not held while the next scenario runs
+        _write_json(sub / "metrics.json", metrics)
+        histogram = metrics["revert_position_histogram"].items()  # summarize sorts it
+        _write_csv(sub / "revert_position_histogram.csv", ["position", "count"], histogram)
+        _write_csv(sub / "per_bot_profit.csv", ["bot", "profit"], sorted(metrics["per_bot_profit"].items()))
+        progress = f"{config_path.name}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}"
+        yield sub, {"config": str(config_path)}, hashlib.sha256(raw), progress
 
 
-def cmd_simulate(config_path: Path, out_dir: Path, seed_override: int | None, quiet: bool) -> int:
-    if config_path.is_dir():
-        configs = _json_files(config_path)
-        if not configs:
-            raise ConfigError(f"{config_path}: no *.json scenario configs found")
-        for cfg in configs:
-            sub = out_dir / cfg.stem
-            sub.mkdir(parents=True, exist_ok=True)
-            _simulate_one(cfg, sub, seed_override, quiet)
-    else:
-        _simulate_one(config_path, out_dir, seed_override, quiet)
-    return EXIT_OK
-
-
-def cmd_analyze(
-    traces_dir: Path,
-    labels_csv: Path,
-    records_csv: Path,
-    out_dir: Path,
-    min_bot_reverts: int,
-    quiet: bool,
-) -> int:
+def cmd_analyze(args, out_dir: Path):
     # each input is read once: parsed, and hashed into the manifest's sha256(labels || records)
-    text, raw = read_input(labels_csv, SchemaError)
+    text, raw = read_input(args.labels, SchemaError)
     digest = hashlib.sha256(raw)
-    labels = read_labels_csv(labels_csv, text)
-    text, raw = read_input(records_csv, SchemaError)
+    labels = read_labels_csv(args.labels, text)
+    text, raw = read_input(args.records, SchemaError)
     digest.update(raw)
     del raw  # parse the text alone, and keep the parsed records, not the file
-    records = read_records_csv(records_csv, text)
+    records = read_records_csv(args.records, text)
     del text
     by_hash = {r.tx_hash: r for r in records}
 
     classified = []
     rows = []
-    for path in _json_files(traces_dir):
+    for path in _json_files(args.traces):
         tx_hash = path.stem
         record = by_hash.get(tx_hash)
         for graph in load_trace_file(path):
@@ -226,28 +188,16 @@ def cmd_analyze(
             for (chain, day), rate in daily_all.items()
         ],
     )
-    _write_csv(
-        out_dir / "position_histogram.csv",
-        ["tx_index", "count"],
-        sorted(position_histogram(records).items()),
-    )
+    _write_csv(out_dir / "position_histogram.csv", ["tx_index", "count"], position_histogram(records).items())
     dist = priority_fee_distribution(records)
     dist["quantiles"] = {str(k): v for k, v in dist["quantiles"].items()}
     _write_json(out_dir / "priority_fee_distribution.json", dist)
-    _write_csv(
-        out_dir / "bots.csv",
-        ["address"],
-        [(a,) for a in sorted(identify_bots(records, labels, min_bot_reverts))],
-    )
+    bots = sorted(identify_bots(records, labels, args.min_bot_reverts))
+    _write_csv(out_dir / "bots.csv", ["address"], [(a,) for a in bots])
 
-    _write_manifest(
-        out_dir,
-        "analyze",
-        {"traces": str(traces_dir), "labels": str(labels_csv), "records": str(records_csv)},
-        digest.hexdigest(),
-    )
-    _log(quiet, f"classified {len(rows)} traces ({sum(1 for r in rows if r['is_swap'])} swaps)")
-    return EXIT_OK
+    inputs = {"traces": str(args.traces), "labels": str(args.labels), "records": str(args.records)}
+    progress = f"classified {len(rows)} traces ({sum(1 for r in rows if r['is_swap'])} swaps)"
+    yield out_dir, inputs, digest, progress
 
 
 def _positive_int(text: str) -> int:
@@ -265,15 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_opt = sub.add_parser("optimize", help="compute the optimal trade split")
+    p_opt.set_defaults(command=cmd_optimize)
     p_opt.add_argument("--config", required=True, type=Path)
     p_opt.add_argument("--out", type=Path)
 
     p_sim = sub.add_parser("simulate", help="run a sequencer scenario (file or directory)")
+    p_sim.set_defaults(command=cmd_simulate)
     p_sim.add_argument("--config", required=True, type=Path)
     p_sim.add_argument("--out", type=Path)
     p_sim.add_argument("--seed-override", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
+    p_ana.set_defaults(command=cmd_analyze)
     p_ana.add_argument("--traces", required=True, type=Path)
     p_ana.add_argument("--labels", required=True, type=Path)
     p_ana.add_argument("--records", required=True, type=Path)
@@ -292,13 +245,19 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "optimize":
-            return cmd_optimize(args.config, out_dir, args.quiet)
-        if args.subcommand == "simulate":
-            return cmd_simulate(args.config, out_dir, args.seed_override, args.quiet)
-        return cmd_analyze(
-            args.traces, args.labels, args.records, out_dir, args.min_bot_reverts, args.quiet
-        )
+        # each directory's manifest follows its outputs: a failing scenario leaves earlier ones whole
+        for directory, inputs, digest, progress in args.command(args, out_dir):
+            _write_json(directory / "manifest.json", {
+                "subcommand": args.subcommand,
+                "inputs": inputs,
+                "config_sha256": digest.hexdigest(),
+                "out_dir": str(directory),
+                "tool_version": __version__,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            })
+            if not args.quiet:
+                print(progress)
+        return EXIT_OK
     except (ConfigError, SchemaError, TraceParseError, DomainError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ parametric family, but can be built through ``TableInterpolated`` so that
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -124,25 +125,27 @@ class PowerConcave(FailureModel):
         require(0 < self.q_max < math.inf, "q_max", "must be positive and finite")
         require(1.0 <= self.alpha < math.inf, "alpha", "must be finite and >= 1 for concavity")
         with np.errstate(over="ignore"):  # the kernels divide by q_max**alpha; a float's ** would raise
-            require(np.isfinite(np.float64(self.q_max) ** self.alpha), "q_max", "q_max**alpha overflows")
+            scale = np.float64(self.q_max) ** self.alpha
+        require(np.isfinite(scale), "q_max", "q_max**alpha overflows")
+        require(scale >= sys.float_info.min, "q_max", "q_max**alpha underflows")  # the slope divides by it
         _check_floor(self.floor)
 
     def _raw_and_slope(self, q):
         # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
         # the slope by np.power, as the array path's vectorized pow can differ from **.
         # Where (q / q_max)**alpha overflows, raw is -inf and the floor binds. A float q <= q_max
-        # skips np.errstate, dearer than the kernel: no power overflows there (__post_init__
-        # checks that q_max**alpha is finite), and only a scale of 0 makes the slope divide by 0
+        # skips np.errstate, dearer than the kernel: no power overflows there, as __post_init__
+        # checks that q_max**alpha is a finite normal float
         scale = self.q_max**self.alpha
-        quiet = type(q) is not float or q > self.q_max or not scale
+        quiet = type(q) is not float or q > self.q_max
         with np.errstate(over="ignore", divide="ignore", invalid="ignore") if quiet else nullcontext():
             if type(q) is float:
                 raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
-                if q > 0.0 and scale:
+                if q > 0.0:
                     return raw, -self.alpha * float(np.power(q, self.alpha - 1.0)) / scale
             else:
                 raw = 1.0 - (q / self.q_max) ** self.alpha
-            # an array q, q = 0, or q_max**alpha underflowed to 0
+            # an array q, or q = 0
             d = -self.alpha * np.where(q > 0, q, 1.0) ** (self.alpha - 1.0) / scale
         # q=0 with alpha>1 has zero slope; alpha==1 has constant slope
         if self.alpha > 1.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 STATUSES = ("success", "reverted")
+_ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowercased address
 
 
 class SchemaError(ValueError):
@@ -56,8 +58,11 @@ class TxRecord:
         for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be nonnegative")
-        object.__setattr__(self, "from_address", self.from_address.lower())
-        object.__setattr__(self, "to_address", self.to_address.lower())
+        for name in ("from_address", "to_address"):
+            address = getattr(self, name).lower()
+            if not _ADDR_RE.fullmatch(address):
+                raise SchemaError(f"bad {name} {getattr(self, name)!r}")
+            object.__setattr__(self, name, address)
 
     @property
     def reverted(self) -> bool:

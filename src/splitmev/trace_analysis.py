@@ -17,7 +17,6 @@ construction.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from json.scanner import py_make_scanner
 from typing import NamedTuple
 
 from .config import read_input
-from .fee_accounting import SchemaError, TxRecord, _csv_rows
+from .fee_accounting import _ADDR_RE, SchemaError, TxRecord, _csv_rows
 
 __all__ = [
     "ExecutionGraph",
@@ -46,7 +45,6 @@ CALL_KINDS = ("call", "delegatecall", "staticcall", "create")
 POOL_KINDS = {"pool_v2": "v2", "pool_v3": "v3"}
 INFRA_KINDS = {"router", "pool_v2", "pool_v3", "pool_manager_v4"}
 
-_ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch
 MAX_CALL_DEPTH = 1024
 
 LABEL_HEADER = ["address", "kind", "dex", "pair", "fee_tier", "owner_label", "has_code"]
@@ -230,7 +228,7 @@ def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassifica
             is_swap=True,
             dex=f"{manager.dex}_v4",
             pool=manager.address,
-            pair="-".join(symbols[:2]) if len(symbols) == 2 else "-".join(symbols),
+            pair="-".join(symbols),
             evidence=tuple(evidence),
         )
 

@@ -1,6 +1,7 @@
 import builtins
 import collections
 import csv
+import datetime
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import pathlib
 
 import pytest
 
+from splitmev import __version__
 from splitmev.cli import main
 
 OPTIMIZE_CONFIG = {
@@ -76,6 +78,12 @@ MALFORMED_CONFIGS = {
     "opt-power-overflow": (
         "optimize",
         edited(OPT, model={"family": "power_concave", "parameters": {"q_max": 1e300, "alpha": 50.0}}),
+        "config.model.parameters.q_max",
+    ),
+    # ... and by a q_max**alpha that underflows below the smallest normal float
+    "opt-power-underflow": (
+        "optimize",
+        edited(OPT, model={"family": "power_concave", "parameters": {"q_max": 1e-200, "alpha": 2.0}}),
         "config.model.parameters.q_max",
     ),
     # JSON's Infinity: no end to the opportunity schedule, or a NaN in it
@@ -490,6 +498,21 @@ def test_analyze_rejects_address_with_trailing_newline(tmp_path, fixtures_dir, c
     assert "bad address '0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\\n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["from_address", "to_address"])
+def test_analyze_rejects_bad_record_address(tmp_path, fixtures_dir, capsys, column):
+    # the last 11 rows of the fixture records name no address in ``column``
+    rows = list(csv.reader((fixtures_dir / "records.csv").read_text().splitlines()))
+    index = rows[0].index(column)
+    for row in rows[-11:]:
+        row[index] = "not-an-address"
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
+    assert main(argv + ["--records", str(records), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {records} line {len(rows) - 10}: bad {column} 'not-an-address'\n"
+
+
 def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsys):
     argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
     argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]
@@ -612,3 +635,80 @@ def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, monkeypatc
     assert main(["--quiet", *argv[subcommand], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count(str(path)) == 1 and "Traceback" not in err
+
+
+def run_records(case, out, configs_dir, scenarios_dir, fixtures_dir):
+    """The argv of ``case``, and for each output directory it fills: the
+    inputs its manifest names, the sha256 of the bytes hashed, and the start
+    of its progress line."""
+    if case == "analyze":
+        traces, labels, records = fixtures_dir / "traces", fixtures_dir / "labels.csv", fixtures_dir / "records.csv"
+        argv = ["analyze", "--traces", str(traces), "--labels", str(labels), "--records", str(records)]
+        inputs = {"traces": str(traces), "labels": str(labels), "records": str(records)}
+        digest = hashlib.sha256(labels.read_bytes() + records.read_bytes()).hexdigest()
+        return argv, {out: (inputs, digest, "classified 20 traces (10 swaps)")}
+    if case == "optimize":
+        config = configs_dir / "optimize_worked.json"
+        return ["optimize", "--config", str(config)], {
+            out: ({"config": str(config)}, hashlib.sha256(config.read_bytes()).hexdigest(), "plan: branch=")
+        }
+    if case == "simulate-file":
+        config = scenarios_dir / "fcfs_duplicates.json"
+        runs = {out: config}
+    else:  # one output subdirectory per scenario, and none at the top level
+        config = scenarios_dir
+        runs = {out / path.stem: path for path in sorted(scenarios_dir.glob("*.json"))}
+    return ["simulate", "--config", str(config)], {
+        directory: ({"config": str(path)}, hashlib.sha256(path.read_bytes()).hexdigest(), f"{path.name}: ")
+        for directory, path in runs.items()
+    }
+
+
+@pytest.mark.parametrize("quiet", [False, True], ids=["progress", "quiet"])
+@pytest.mark.parametrize("case", ["optimize", "simulate-file", "simulate-directory", "analyze"])
+def test_run_record(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, case, quiet):
+    # each output directory gets one manifest with all six keys, and one
+    # progress line on stdout unless --quiet is set
+    out = tmp_path / "out"
+    argv, expected = run_records(case, out, configs_dir, scenarios_dir, fixtures_dir)
+    start = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+    assert main(["--quiet"] * quiet + argv + ["--out", str(out)]) == 0
+    end = datetime.datetime.now(datetime.timezone.utc)
+    assert sorted(out.rglob("manifest.json")) == sorted(directory / "manifest.json" for directory in expected)
+    subcommand = argv[0]
+    for directory, (inputs, digest, _) in expected.items():
+        manifest = json.loads((directory / "manifest.json").read_text())
+        stamp = datetime.datetime.strptime(manifest.pop("timestamp"), "%Y-%m-%dT%H:%M:%SZ")
+        assert start <= stamp.replace(tzinfo=datetime.timezone.utc) <= end
+        assert manifest == {
+            "subcommand": subcommand,
+            "inputs": inputs,
+            "config_sha256": digest,
+            "out_dir": str(directory),
+            "tool_version": __version__,
+        }
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == (0 if quiet else len(expected))
+    for line, (_, _, prefix) in zip(lines, expected.values()):
+        assert line.startswith(prefix), (line, prefix)
+
+
+def test_simulate_directory_failure_keeps_earlier_scenarios(tmp_path, capsys):
+    # scenarios run in name order, and each directory's manifest is written
+    # with its outputs: "b" fails, "a" is whole, "c" never runs
+    configs = tmp_path / "scenarios"
+    configs.mkdir()
+    write_json(configs / "a.json", SIM_CONFIG)
+    write_json(configs / "b.json", edited(SIM_CONFIG, horizon="1"))
+    write_json(configs / "c.json", SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(configs), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "a.json: 5 txs, revert rate 0.800\n"
+    assert captured.err.startswith("error: config.horizon: ")
+    assert sorted(p.name for p in (out / "a").iterdir()) == [
+        "manifest.json", "metrics.json", "per_bot_profit.csv", "report.json", "revert_position_histogram.csv"
+    ]
+    assert list((out / "b").iterdir()) == [] and not (out / "c").exists()

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from splitmev import (
     plan,
     validate_assumptions,
 )
+from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
 
 ALL_MODELS = [
@@ -55,15 +57,24 @@ def test_power_concave_values():
     [
         (1.0, 400.0, 10.0, DEFAULT_FLOOR, 0.0),  # (q / q_max)**alpha and q**(alpha - 1) overflow
         (1.0, 400.0, 1.5, DEFAULT_FLOOR, 0.0),  # above q_max, no overflow
-        (1e-200, 2.0, 1e-201, 0.99, -math.inf),  # q_max**alpha underflows to 0: the slope divides by it
-        (1e-200, 2.0, 0.0, 1.0, 0.0),
+        (1e-150, 2.0, 0.0, 1.0, 0.0),  # q = 0 has zero slope
     ],
 )
 def test_power_concave_float_path_is_silent(q_max, alpha, q, p, slope):
-    # the float path enters np.errstate only above q_max or where q_max**alpha is 0
+    # the float path enters np.errstate only above q_max
     m = PowerConcave(q_max=q_max, alpha=alpha)
     assert (m.prob(q), m.prob_derivative(q)) == (p, slope)
     assert (m.prob(np.array(q)), m.prob_derivative(np.array(q))) == (p, slope)
+
+
+@pytest.mark.parametrize("q_max, alpha", [(1e-200, 2.0), (1e-12, 50.0), (0.5, 1050.0)])
+def test_power_concave_rejects_underflowing_scale(q_max, alpha):
+    # the slope divides by q_max**alpha: 0 (the first two) would make it
+    # -inf, and a subnormal divisor (2**-1050) has lost bits
+    with pytest.raises(ConfigError, match=r"^q_max: q_max\*\*alpha underflows$"):
+        PowerConcave(q_max=q_max, alpha=alpha)
+    smallest = PowerConcave(q_max=sys.float_info.min, alpha=1.0)  # the normal minimum itself is accepted
+    assert smallest.prob_derivative(smallest.q_max / 2) == -1.0 / sys.float_info.min
 
 
 def test_table_interpolation_and_domain():

@@ -215,7 +215,7 @@ def dictreader_records(path):
         return records
 
 
-GOOD = "0x1,2025-05-01,1,0,success,0xA,0xb,10,0,21000,0,base"
+GOOD = f"0x1,2025-05-01,1,0,success,0x{'A' * 40},0x{'b' * 40},10,0,21000,0,base"
 INT_COLUMNS = ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee")
 
 
@@ -234,6 +234,7 @@ def with_cell(name, value):
         pytest.param(["", "", GOOD, "", GOOD.replace(",10,", ",ten,")], id="bad-int-after-blanks"),
         pytest.param([GOOD.replace("2025-05-01", "2025-13-01")], id="bad-day"),
         pytest.param([GOOD.replace("success", "pending")], id="bad-status"),
+        *[pytest.param([GOOD, with_cell(name, "0xab")], id=f"bad-{name}") for name in ("from_address", "to_address")],
         *[pytest.param([with_cell(name, "-1")], id=f"negative-{name}") for name in INT_COLUMNS],
         pytest.param([GOOD.replace(",0,base", ",-1,base").replace(",1,0,", ",-1,0,")], id="two-negatives"),
         pytest.param(["", GOOD], id="blank-first-row"),

@@ -233,7 +233,7 @@ def models_and_points(draw):
 @example(POOL, (FAMILIES["table"], 100.0), 1.9, 1.0, 2.0)  # interior knot
 @example(POOL, (TableInterpolated(qs=(0.0, 10.0), ps=(1.0, 0.01), floor=0.01), 10.0), 1.9, 1.0, 0.0)  # p == floor
 @example(POOL, (PowerConcave(q_max=3.0, alpha=1.7), 0.1), 1.9, 0.0, 1.0)  # ** and np.power differ
-@example(POOL, (PowerConcave(q_max=1e-12, alpha=50.0), 1e-13), 1.9, 1.0, 0.0)  # q_max**alpha underflows
+@example(POOL, (PowerConcave(q_max=7.5e-7, alpha=50.0), 7.5e-8), 1.9, 1.0, 0.0)  # q_max**alpha just above the normal minimum
 @example(PoolState(1e-200, 1.0), (LinearClamped(slope=1.0), 1e-190), 1.9, 1.0, 0.0)  # (x + q)**2 underflows
 @settings(max_examples=500)
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # numpy's, on both paths alike
