@@ -3,7 +3,8 @@
 Every subcommand writes its outputs into a single output directory (a
 directory ``simulate``, into one subdirectory per scenario) and nowhere
 else, then yields each directory it filled. ``main`` is the only code that
-writes a ``manifest.json`` or prints a progress line. Exit codes: 0 ok; 2
+writes a ``manifest.json`` or prints a progress line. Every output file is
+UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
 config or schema error, an unreadable or non-UTF-8 input, or an unwritable
 output; 3 numerical anomaly (no interior root, or a non-finite threshold or
 profit).
@@ -16,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -59,16 +61,29 @@ def _load_json(path: Path) -> tuple[dict, bytes]:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _write(path: Path, text: str):
+    """Make ``text``, encoded as UTF-8 once, the file at ``path`` in raw system calls:
+    ``open``, ``write`` until every byte is taken, ``close``, and none of a text file's layers."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _write_json(path: Path, doc: dict):
-    """``doc`` as indented, key-sorted JSON, encoded in one piece and written once."""
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """``doc`` as indented, key-sorted JSON."""
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")  # csv's own \r\n line ends, untranslated
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +139,7 @@ def cmd_simulate(args, out_dir: Path):
         report = run(config)
         metrics = summarize(report)
 
-        with open(sub / "report.json", "w") as fh:
+        with open(sub / "report.json", "w", encoding="utf-8") as fh:  # not _write: no encoded copy of a large report
             fh.write(report.to_json())
             fh.write("\n")
         del report  # not held while the next scenario runs
@@ -160,7 +175,7 @@ def cmd_analyze(args, out_dir: Path):
                 classified.append((cls, record))
 
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps would build one per row
-    with open(out_dir / "classifications.jsonl", "w") as fh:
+    with open(out_dir / "classifications.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(encode(row))
             fh.write("\n")

@@ -24,7 +24,7 @@ def read_input(path, error) -> tuple[str, bytes]:
     its bytes, read once; a file that cannot be read or decoded raises
     ``error`` naming the path."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:  # one unbuffered readall, sized by fstat
             raw = fh.read()
         return raw.decode("utf-8"), raw
     except (OSError, UnicodeDecodeError) as exc:

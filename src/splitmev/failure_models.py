@@ -77,7 +77,7 @@ class FailureModel:
         q = _check_q(q, self.domain_max())
         if type(q) is float:
             return self.prob_and_slope_unchecked(q)[0]
-        p = np.maximum(self._raw_and_slope(q)[0], self.floor)
+        p = self.prob_unchecked(q)
         return p if p.ndim else float(p)
 
     def prob_derivative(self, q):
@@ -87,6 +87,10 @@ class FailureModel:
         raw, slope = self._raw_and_slope(q)
         d = np.where(raw > self.floor, slope, 0.0)
         return d if d.ndim else float(d)
+
+    def prob_unchecked(self, q: np.ndarray) -> np.ndarray:
+        """``prob(q)`` of an array q that the caller has checked against the domain."""
+        return np.maximum(self._raw_and_slope(q)[0], self.floor)
 
     def prob_and_slope_unchecked(self, q: float) -> tuple[float, float]:
         """``prob(q)`` and ``prob_derivative(q)`` (==) at one float q that the

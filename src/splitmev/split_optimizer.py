@@ -96,9 +96,12 @@ def per_swap_profit(pool: PoolState, params: ArbParams, model: FailureModel, q):
     overhead is sunk either way.
     """
     q = _check_chunk(params, q)
-    p, dy = model.prob(q), swap_out(pool, q)
-    out = p * dy - params.cex_price * q - (1.0 - p) * params.liquidation_penalty - params.gas_overhead
-    return _as_output(out)
+    return _as_output(_expected_profit(params, model.prob(q), swap_out(pool, q), q))
+
+
+def _expected_profit(params: ArbParams, p, dy, q):
+    """``per_swap_profit`` from the success probability p and AMM output dy at q."""
+    return p * dy - params.cex_price * q - (1.0 - p) * params.liquidation_penalty - params.gas_overhead
 
 
 def marginal_benefit(pool: PoolState, params: ArbParams, model: FailureModel, q):
@@ -256,10 +259,16 @@ def brute_force_plan(
 def profit_curve(
     pool: PoolState, params: ArbParams, model: FailureModel, n_max: int
 ) -> list[tuple[int, float]]:
-    """(n, expected total profit) samples for plotting/export, all finite."""
+    """(n, expected total profit) samples for plotting/export, all finite. Each input
+    check is monotone in q, so checking the smallest and largest q = D/n checks them all."""
+    d = params.total_size
     ns = np.arange(1, n_max + 1)
+    if ns.size:
+        _check_chunk(params, d / ns.size)  # the smallest q, D/n_max: 0 where it underflows
+        per_swap_profit(pool, params, model, d)  # the largest
+    q = d / ns
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit raises below
-        profits = np.asarray(total_profit(pool, params, model, ns))
+        profits = ns * _expected_profit(params, model.prob_unchecked(q), swap_out_unchecked(pool, q), q)
     if not np.isfinite(profits).all():
         raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
-    return [(int(n), float(p)) for n, p in zip(ns, profits)]
+    return list(zip(ns.tolist(), profits.tolist()))

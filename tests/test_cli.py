@@ -3,12 +3,18 @@ import collections
 import csv
 import datetime
 import hashlib
+import io
 import json
 import math
+import os
 import pathlib
+import stat
+import subprocess
+import sys
 
 import pytest
 
+import splitmev
 from splitmev import __version__
 from splitmev.cli import main
 
@@ -712,3 +718,99 @@ def test_simulate_directory_failure_keeps_earlier_scenarios(tmp_path, capsys):
         "manifest.json", "metrics.json", "per_bot_profit.csv", "report.json", "revert_position_histogram.csv"
     ]
     assert list((out / "b").iterdir()) == [] and not (out / "c").exists()
+
+
+def optimize_into(tmp_path, cfg, out) -> int:
+    return main(["--quiet", "optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)])
+
+
+def test_rewrite_leaves_no_stale_tail(tmp_path, configs_dir):
+    # a single-swap plan has a 10-row profit curve, the worked config's 40:
+    # written over the longer one, it leaves the bytes a fresh run writes
+    worked = json.loads((configs_dir / "optimize_worked.json").read_text())
+    single = edited(worked, params=edited(worked["params"], gas_overhead=1e6))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for cfg, target in ((worked, out), (single, out), (single, fresh)):
+        assert optimize_into(tmp_path, cfg, target) == 0
+    for name in ("plan.json", "profit_curve.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert len((out / "profit_curve.csv").read_bytes().splitlines()) == 11
+
+
+def test_csv_rows_end_in_crlf(tmp_path, configs_dir):
+    out = tmp_path / "out"
+    assert main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out", str(out)]) == 0
+    data = (out / "profit_curve.csv").read_bytes()
+    assert data.startswith(b"n,expected_total_profit\r\n1,")
+    assert data.count(b"\n") == data.count(b"\r\n") == 41
+
+
+def test_new_outputs_get_the_mode_open_gives(tmp_path, configs_dir):
+    # every output is created as open(path, "w") creates a file: 0o666 less the umask
+    umask = os.umask(0o007)
+    try:
+        open(tmp_path / "reference", "w").close()
+        assert main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o660
+    modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in (tmp_path / "out").iterdir()}
+    assert modes == {"manifest.json": 0o660, "plan.json": 0o660, "profit_curve.csv": 0o660}
+
+
+def test_short_writes_are_completed(tmp_path, configs_dir, monkeypatch):
+    # a write may take fewer bytes than it was given; the rest follow
+    argv = ["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out"]
+    assert main([*argv, str(tmp_path / "whole")]) == 0
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    assert main([*argv, str(tmp_path / "short")]) == 0
+    monkeypatch.undo()
+    for name in ("plan.json", "profit_curve.csv"):
+        assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["plan.json", "profit_curve.csv", "manifest.json"])
+def test_unwritable_output_exit_code(tmp_path, configs_dir, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # as a file without write permission; root ignores chmod
+    assert main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err and "Traceback" not in err
+
+
+def test_outputs_are_utf8_whatever_the_locale(tmp_path, fixtures_dir):
+    # a pool's pair symbol outside ASCII, in the C locale without locale
+    # coercion or UTF-8 mode, where open()'s default encoding is ASCII
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes((fixtures_dir / "labels.csv").read_bytes().replace(b"USDC-WETH", "USD₮0-WETH".encode()))
+    args = ["--quiet", "analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(labels),
+            "--records", str(fixtures_dir / "records.csv"), "--out"]
+    src = str(pathlib.Path(splitmev.__file__).parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "splitmev.cli", *args, str(tmp_path / "c")], env=env,
+                          capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main([*args, str(tmp_path / "here")]) == 0
+    pairs = (tmp_path / "c" / "breakdown_pair.csv").read_bytes()
+    assert "USD₮0-WETH,".encode() in pairs
+    for name in ("breakdown_pair.csv", "classifications.jsonl"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
+
+
+def test_analyze_trace_larger_than_a_read_buffer(tmp_path, fixtures_dir):
+    # one JSON-lines trace file of over 1 MiB, read in one piece: each of its
+    # copies of a call tree is classified as the single tree is
+    tree = json.dumps(json.loads((fixtures_dir / "traces" / "t01_v3_swap_usdc_weth_500.json").read_text()))
+    copies = 2**20 // len(tree) + 1
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / "big.json").write_text((tree + "\n") * copies)
+    assert len((traces / "big.json").read_bytes()) > max(io.DEFAULT_BUFFER_SIZE, 2**20)
+    out = tmp_path / "out"
+    assert main(["--quiet", "analyze", "--traces", str(traces), "--labels", str(fixtures_dir / "labels.csv"),
+                 "--records", str(fixtures_dir / "records.csv"), "--out", str(out)]) == 0
+    rows = (out / "classifications.jsonl").read_text().splitlines()
+    assert len(rows) == copies and len(set(rows)) == 1
+    assert json.loads(rows[0])["pair"] == "USDC-WETH"

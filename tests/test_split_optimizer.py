@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitmev import (
@@ -405,3 +405,74 @@ def test_profit_curve_shape():
     assert len(curve) == 20
     assert curve[0][0] == 1
     assert curve[3][1] == pytest.approx(total_profit(POOL, ArbParams(100, 1.9, 1.0), P_ONE, 4))
+
+
+def checked_profit_curve(pool, params, model, n_max):
+    """``profit_curve`` through the checked array path, which checks every q = D/n."""
+    ns = np.arange(1, n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        profits = total_profit(pool, params, model, ns)
+    if not np.isfinite(profits).all():
+        raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
+    return [(int(n), float(p)) for n, p in zip(ns, profits)]
+
+
+def _curve_outcome(f, *args):
+    """The rows of f(*args), each profit as its bits, or the type and message
+    of what it raises."""
+    try:
+        rows = f(*args)
+    except Exception as exc:  # noqa: BLE001 - what is raised is the outcome compared
+        return type(exc), str(exc)
+    assert all(type(n) is int and type(p) is float for n, p in rows)
+    return [(n, p.hex()) for n, p in rows]
+
+
+@given(
+    pools,
+    models_and_points(),
+    st.sampled_from([1.0, 1.5]),  # 1.5 takes a table's D past its last knot
+    st.floats(0.1, 10.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0),
+    st.integers(1, 1000),
+)
+@example(POOL, (FAMILIES["table"], 200.0), 1.5, 1.9, 1.0, 0.0, 40)  # D outside the table's domain
+@example(POOL, (LinearClamped(slope=0.01), 5e-324), 1.0, 1.9, 1.0, 0.0, 2)  # D/2 underflows to 0
+@settings(max_examples=300)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_profit_curve_equals_checked_path(pool, model_and_q, stretch, cex_price, gas, phi, n_max):
+    # profit_curve checks its inputs at the smallest and the largest q and
+    # computes the rows unchecked: every row, bit for bit, and every
+    # exception, type and message, as the checked path gives them
+    model, q = model_and_q
+    assume(q > 0)
+    params = ArbParams(q * stretch, cex_price, gas, phi)
+    assert _curve_outcome(profit_curve, pool, params, model, n_max) == _curve_outcome(
+        checked_profit_curve, pool, params, model, n_max
+    )
+
+
+SHORT_TABLE = TableInterpolated(qs=(0.0, 50.0), ps=(1.0, 0.5))
+PROFIT_CURVE_ERRORS = {  # (pool, params, model, n_max, exception raised)
+    "table-domain": (POOL, ArbParams(100.0, 1.9, 1.0), SHORT_TABLE, 40, DomainError),
+    "precision-guard": (PoolState(1e-3, 1.0), ArbParams(1e10, 1.9, 1.0), P_ONE, 40, DomainError),
+    "underflowed-chunk": (POOL, ArbParams(5e-324, 1.9, 1.0), P_ONE, 2, DomainError),
+    # cex_price * D overflows: every profit is -inf
+    "non-finite": (
+        PoolState(6.2e200, 8.8e-229), ArbParams(2.4e169, 1.2e150, 1.0), LinearClamped(slope=1e-171), 10, NoRootError
+    ),
+}
+
+
+@pytest.mark.parametrize("pool, params, model, n_max, error", PROFIT_CURVE_ERRORS.values(), ids=PROFIT_CURVE_ERRORS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning on the way either
+def test_profit_curve_raises_as_checked_path(pool, params, model, n_max, error):
+    outcome = _curve_outcome(profit_curve, pool, params, model, n_max)
+    assert outcome[0] is error
+    assert outcome == _curve_outcome(checked_profit_curve, pool, params, model, n_max)
+
+
+def test_profit_curve_of_no_rows():
+    # no q is computed, so nothing is checked: D past the table's last knot
+    assert profit_curve(POOL, ArbParams(100.0, 1.9, 1.0), SHORT_TABLE, 0) == []
