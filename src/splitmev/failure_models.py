@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amm_core import DomainError
+from .amm_core import DomainError, _as_output
 from .config import build, require
 
 __all__ = [
@@ -74,29 +74,18 @@ class FailureModel:
         return None
 
     def prob(self, q):
-        q = _check_q(q, self.domain_max())
-        if type(q) is float:
-            return self.prob_and_slope_unchecked(q)[0]
-        p = self.prob_unchecked(q)
-        return p if p.ndim else float(p)
+        return _as_output(self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[0])
 
     def prob_derivative(self, q):
-        q = _check_q(q, self.domain_max())
+        return _as_output(self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[1])
+
+    def prob_and_slope_unchecked(self, q):
+        """``prob(q)`` and ``prob_derivative(q)`` at a float or an array q that the
+        caller has checked against the domain: the one place the floor is applied."""
+        raw, slope = self._raw_and_slope(q)
         if type(q) is float:
-            return self.prob_and_slope_unchecked(q)[1]
-        raw, slope = self._raw_and_slope(q)
-        d = np.where(raw > self.floor, slope, 0.0)
-        return d if d.ndim else float(d)
-
-    def prob_unchecked(self, q: np.ndarray) -> np.ndarray:
-        """``prob(q)`` of an array q that the caller has checked against the domain."""
-        return np.maximum(self._raw_and_slope(q)[0], self.floor)
-
-    def prob_and_slope_unchecked(self, q: float) -> tuple[float, float]:
-        """``prob(q)`` and ``prob_derivative(q)`` (==) at one float q that the
-        caller has checked against the domain."""
-        raw, slope = self._raw_and_slope(q)
-        return (raw, slope) if raw > self.floor else (self.floor, 0.0)
+            return (raw, slope) if raw > self.floor else (self.floor, 0.0)
+        return np.maximum(raw, self.floor), np.where(raw > self.floor, slope, 0.0)
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,8 @@ class LinearClamped(FailureModel):
         _check_floor(self.floor)
 
     def _raw_and_slope(self, q):
-        return 1.0 - self.slope * q, -self.slope  # prob_derivative broadcasts the slope over q
+        # a float slope even from an int, as _as_output takes; np.where broadcasts it over an array q
+        return 1.0 - self.slope * q, -float(self.slope)
 
 
 @dataclass(frozen=True)

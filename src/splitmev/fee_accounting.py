@@ -1,8 +1,9 @@
 """Gas-fee decomposition and aggregate revert statistics.
 
 All fee arithmetic stays in integer wei; floats appear only in reported
-ratios and fee quantiles. Records are read from a fixed-header CSV, whose
-row reader the trace pipeline's label CSV shares.
+ratios and fee quantiles. Records are read from a CSV file whose header is
+``TxRecord``'s fields, by the reader that also reads the trace pipeline's
+label CSV.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .config import _fields
 
 __all__ = [
     "TxRecord",
@@ -35,6 +38,14 @@ _ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowerca
 
 class SchemaError(ValueError):
     """Malformed record row or CSV header."""
+
+
+def _address(value: str, name: str) -> str:
+    """``value`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
+    address = value.lower()
+    if not _ADDR_RE.fullmatch(address):
+        raise SchemaError(f"bad {name} {value!r}")
+    return address
 
 
 @dataclass(frozen=True)
@@ -59,10 +70,7 @@ class TxRecord:
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be nonnegative")
         for name in ("from_address", "to_address"):
-            address = getattr(self, name).lower()
-            if not _ADDR_RE.fullmatch(address):
-                raise SchemaError(f"bad {name} {getattr(self, name)!r}")
-            object.__setattr__(self, name, address)
+            object.__setattr__(self, name, _address(getattr(self, name), name))
 
     @property
     def reverted(self) -> bool:
@@ -151,10 +159,19 @@ def priority_fee_distribution(records: list[TxRecord]) -> dict:
     }
 
 
-def _csv_rows(path, text: str, header: list[str]):
-    """The ``(line number, cells)`` rows after a CSV text's header, each of one cell
-    per column, numbered as ``csv.DictReader`` does (blank rows are not counted)."""
+# the parser of each CSV cell whose field is not a str
+_PARSE = {int: int, dt.date: dt.date.fromisoformat, bool: lambda cell: cell.strip().lower() in ("1", "true", "yes")}
+
+
+def _csv_records(path, text: str, cls) -> list:
+    """The ``cls`` of each row of ``text``, the decoded content of the CSV file at
+    ``path`` whose header is ``cls``'s fields. Errors name the path and the line,
+    numbered as ``csv.DictReader`` numbers them (blank rows are not counted)."""
+    spec = _fields(cls)
+    header = list(spec)
+    parsers = [(i, _PARSE[tp]) for i, (tp, _) in enumerate(spec.values()) if tp is not str]
     reader = csv.reader(io.StringIO(text, newline=""))
+    items = []
     try:
         got = next(reader, None)
         if got != header:
@@ -162,22 +179,18 @@ def _csv_rows(path, text: str, header: list[str]):
         for line_no, row in enumerate(filter(None, reader), start=2):
             if len(row) != len(header):
                 raise SchemaError(f"{path} line {line_no}: expected {len(header)} cells")
-            yield line_no, row
+            try:
+                for i, parse in parsers:  # in place: cheaper than a new list of cells
+                    row[i] = parse(row[i])
+                items.append(cls(*row))
+            except ValueError as exc:  # a bad cell, or a check of cls (SchemaError)
+                raise SchemaError(f"{path} line {line_no}: {exc}") from exc
     except csv.Error as exc:  # a cell over csv's field size limit (on Python 3.10, also a NUL)
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
+    return items
 
 
 def read_records_csv(path, text: str) -> list[TxRecord]:
     """The records of ``text``, the decoded content of the ``TX_RECORD_HEADER``
     CSV file at ``path``; errors name the path and the line."""
-    records = []
-    for line_no, row in _csv_rows(path, text, TX_RECORD_HEADER):
-        tx_hash, day, block, index, status, sender, to, price, tip, used, l1_fee, chain = row
-        try:
-            records.append(TxRecord(
-                tx_hash, dt.date.fromisoformat(day), int(block), int(index), status, sender, to,
-                int(price), int(tip), int(used), int(l1_fee), chain,
-            ))
-        except ValueError as exc:  # a bad cell, or a TxRecord check (SchemaError)
-            raise SchemaError(f"{path} line {line_no}: {exc}") from exc
-    return records
+    return _csv_records(path, text, TxRecord)

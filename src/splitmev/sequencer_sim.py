@@ -150,8 +150,6 @@ class TxOutcome(NamedTuple):
 
 
 _OUTCOME_FIELDS = TxOutcome._fields
-# what summarize reads, by index: cheaper per row than a NamedTuple attribute
-_STATUS, _POSITION, _PRIORITY_FEE = map(_OUTCOME_FIELDS.index, ("status", "position", "priority_fee"))
 # the fields that one (bot, size) order's rows share but for their status,
 # and the sorted rest, which each report row fills in
 _KEY_FIELDS = ("bot_id", "bot_name", "priority_fee", "size", "status")
@@ -309,10 +307,10 @@ def summarize(report: SimReport) -> dict:
     """Aggregate metrics: revert rate, revert position histogram, per-bot
     profit, and the priority-fee vs all revert-rate differential."""
     total = len(report.outcomes)
-    reverts = [o for o in report.outcomes if o[_STATUS] == "reverted"]
-    histogram = Counter([o[_POSITION] for o in reverts])
-    pf = [o for o in report.outcomes if o[_PRIORITY_FEE] > 0]
-    pf_reverts = sum(1 for o in pf if o[_STATUS] == "reverted")
+    reverts = [o for o in report.outcomes if o.status == "reverted"]
+    histogram = Counter([o.position for o in reverts])
+    pf = [o for o in report.outcomes if o.priority_fee > 0]
+    pf_reverts = sum(1 for o in pf if o.status == "reverted")
     revert_rate = len(reverts) / total if total else 0.0
     pf_rate = pf_reverts / len(pf) if pf else None
     return {

@@ -268,7 +268,7 @@ def profit_curve(
         per_swap_profit(pool, params, model, d)  # the largest
     q = d / ns
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit raises below
-        profits = ns * _expected_profit(params, model.prob_unchecked(q), swap_out_unchecked(pool, q), q)
+        profits = ns * _expected_profit(params, model.prob_and_slope_unchecked(q)[0], swap_out_unchecked(pool, q), q)
     if not np.isfinite(profits).all():
         raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
     return list(zip(ns.tolist(), profits.tolist()))

@@ -19,17 +19,16 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from json.scanner import py_make_scanner
 from typing import NamedTuple
 
 from .config import read_input
-from .fee_accounting import _ADDR_RE, SchemaError, TxRecord, _csv_rows
+from .fee_accounting import _ADDR_RE, SchemaError, TxRecord, _address, _csv_records
 
 __all__ = [
     "ExecutionGraph",
     "LabelEntry",
-    "LabelLibrary",
     "SwapClassification",
     "TraceParseError",
     "build_graph",
@@ -44,10 +43,9 @@ __all__ = [
 CALL_KINDS = ("call", "delegatecall", "staticcall", "create")
 POOL_KINDS = {"pool_v2": "v2", "pool_v3": "v3"}
 INFRA_KINDS = {"router", "pool_v2", "pool_v3", "pool_manager_v4"}
+LABEL_KINDS = INFRA_KINDS | {"token", "other"}
 
 MAX_CALL_DEPTH = 1024
-
-LABEL_HEADER = ["address", "kind", "dex", "pair", "fee_tier", "owner_label", "has_code"]
 
 
 class TraceParseError(ValueError):
@@ -135,38 +133,28 @@ def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
 
 @dataclass(frozen=True)
 class LabelEntry:
-    address: str
-    kind: str  # router | pool_v2 | pool_v3 | pool_manager_v4 | token | other
+    address: str  # stored lowercase
+    kind: str  # one of LABEL_KINDS
     dex: str = ""
     pair: str = ""  # token pair for pools; token symbol for token entries
     fee_tier: str = ""
     owner_label: str = ""
     has_code: bool = False
 
-
-@dataclass
-class LabelLibrary:
-    entries: dict[str, LabelEntry] = field(default_factory=dict)
-
-    def get(self, address: str) -> LabelEntry | None:
-        return self.entries.get(address.lower())
-
-    def add(self, entry: LabelEntry):
-        self.entries[entry.address.lower()] = entry
+    def __post_init__(self):
+        object.__setattr__(self, "address", _address(self.address, "address"))
+        if self.kind not in LABEL_KINDS:
+            raise SchemaError(f"unknown kind {self.kind!r}; known: {sorted(LABEL_KINDS)}")
 
 
-def read_labels_csv(path, text: str) -> LabelLibrary:
-    """The labels of ``text``, the decoded content of the ``LABEL_HEADER`` CSV
-    file at ``path``; errors name the path and the line."""
-    lib = LabelLibrary()
-    for line_no, row in _csv_rows(path, text, LABEL_HEADER):
-        address, kind, dex, pair, fee_tier, owner_label, has_code = row
-        addr = address.lower()
-        if not _ADDR_RE.fullmatch(addr):
-            raise SchemaError(f"{path} line {line_no}: bad address {address!r}")
-        has_code = has_code.strip().lower() in ("1", "true", "yes")
-        lib.add(LabelEntry(addr, kind, dex, pair, fee_tier, owner_label, has_code))
-    return lib
+LABEL_HEADER = [f.name for f in fields(LabelEntry)]
+
+
+def read_labels_csv(path, text: str) -> dict[str, LabelEntry]:
+    """``{address: entry}`` of the labels of ``text``, the decoded content of the
+    ``LABEL_HEADER`` CSV file at ``path`` (a repeated address keeps its last row);
+    errors name the path and the line."""
+    return {e.address: e for e in _csv_records(path, text, LabelEntry)}
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,7 @@ class SwapClassification:
     evidence: tuple[str, ...] = ()
 
 
-def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassification:
+def classify_swap(graph: ExecutionGraph, labels: dict[str, LabelEntry]) -> SwapClassification:
     """Decide whether the transaction is a DEX swap and attribute it.
 
     v2/v3: any call edge into a labeled pool; multiple pool touches are
@@ -190,9 +178,8 @@ def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassifica
     manager_hits: list[tuple[int, LabelEntry]] = []
     token_hits: dict[str, int] = {}
 
-    entries = labels.entries  # graph addresses are lowercase already
     for i, edge in enumerate(graph.edges):
-        entry = entries.get(edge.callee)
+        entry = labels.get(edge.callee)  # graph and label addresses are both lowercase
         if entry is None:
             continue
         if entry.kind in POOL_KINDS and edge.call_kind == "call":
@@ -218,10 +205,10 @@ def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassifica
 
     if manager_hits and len(token_hits) >= 2:
         mi, manager = manager_hits[0]
-        symbols = sorted(labels.get(a).pair or a for a in token_hits)
+        symbols = sorted(labels[a].pair or a for a in token_hits)
         evidence = [f"edge {mi}: call to v4 pool manager {manager.address} ({manager.dex})"]
         evidence += [
-            f"edge {i}: token probe {a} ({labels.get(a).pair})"
+            f"edge {i}: token probe {a} ({labels[a].pair})"
             for a, i in sorted(token_hits.items(), key=lambda kv: kv[1])
         ]
         return SwapClassification(
@@ -235,9 +222,7 @@ def classify_swap(graph: ExecutionGraph, labels: LabelLibrary) -> SwapClassifica
     return SwapClassification(is_swap=False)
 
 
-def identify_bots(
-    records: list[TxRecord], labels: LabelLibrary, min_count: int
-) -> set[str]:
+def identify_bots(records: list[TxRecord], labels: dict[str, LabelEntry], min_count: int) -> set[str]:
     """Addresses that look like MEV bot contracts.
 
     A to_address qualifies when it (a) receives at least min_count reverted

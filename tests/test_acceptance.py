@@ -34,7 +34,7 @@ from splitmev import (
     swap_out,
     threshold,
 )
-from splitmev.trace_analysis import LabelEntry, LabelLibrary
+from splitmev.trace_analysis import LabelEntry
 
 from conftest import compliant_instances, fee_rank_correlation, residual
 from test_trace_analysis import _record
@@ -259,7 +259,7 @@ def test_criterion_7_trace_fixture_corpus(fixtures_dir):
             correct += 1
 
     # ten labeled addresses probing each bot rule in isolation
-    lib = LabelLibrary()
+    lib = {}
     addrs = [f"0x{'2' * 38}{i:02d}" for i in range(10)]
     entries = [
         ("other", "", True),  # 0: qualifies
@@ -274,7 +274,7 @@ def test_criterion_7_trace_fixture_corpus(fixtures_dir):
         ("other", "", True),  # 9: reverts all below threshold
     ]
     for addr, (kind, owner, code) in zip(addrs, entries):
-        lib.add(LabelEntry(address=addr, kind=kind, owner_label=owner, has_code=code))
+        lib[addr] = LabelEntry(address=addr, kind=kind, owner_label=owner, has_code=code)
     records = []
     counts = [5, 2, 5, 5, 5, 5, 5, 4, 4, 1]
     for addr, n in zip(addrs, counts):

@@ -504,6 +504,18 @@ def test_analyze_rejects_address_with_trailing_newline(tmp_path, fixtures_dir, c
     assert "bad address '0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\\n'" in capsys.readouterr().err
 
 
+def test_analyze_rejects_unknown_label_kind(tmp_path, fixtures_dir, capsys):
+    # an unknown kind used to pass, and drop the fixtures' 10 swaps to 9
+    labels = tmp_path / "labels.csv"
+    text = (fixtures_dir / "labels.csv").read_text()
+    assert text.splitlines()[2].split(",")[1] == "pool_v3"
+    labels.write_text(text.replace(",pool_v3,", ",pool_v33,", 1))
+    argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(labels)]
+    assert main(argv + ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]) == 2
+    known = ["other", "pool_manager_v4", "pool_v2", "pool_v3", "router", "token"]
+    assert capsys.readouterr().err == f"error: {labels} line 3: unknown kind 'pool_v33'; known: {known}\n"
+
+
 @pytest.mark.parametrize("column", ["from_address", "to_address"])
 def test_analyze_rejects_bad_record_address(tmp_path, fixtures_dir, capsys, column):
     # the last 11 rows of the fixture records name no address in ``column``

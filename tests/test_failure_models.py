@@ -43,6 +43,9 @@ def test_linear_clamped_values():
     # beyond the clamp the floor binds and the slope is zero
     assert m.prob(1e7) == m.floor
     assert m.prob_derivative(1e7) == 0.0
+    # a Python caller's int slope still gives a float for a float q
+    d = LinearClamped(slope=1).prob_derivative(0.5)
+    assert type(d) is float and d == -1.0
 
 
 def test_power_concave_values():

@@ -249,6 +249,9 @@ def test_scalar_kernels_equal_public_functions(pool, model_and_q, cex_price, gas
     expected = _bits(model.prob(ref), model.prob_derivative(ref))
     assert _bits(*model.prob_and_slope_unchecked(q)) == expected
     assert _bits(model.prob(q), model.prob_derivative(q)) == expected
+    arr = np.array([0.0, q / 2, q])
+    p, dp = model.prob_and_slope_unchecked(arr)  # the array form, where profit_curve takes p
+    assert p.tobytes() + dp.tobytes() == model.prob(arr).tobytes() + model.prob_derivative(arr).tobytes()
     if q > 0:
         params = ArbParams(q, cex_price, gas, phi)
         assert _bits(*_residual_unchecked(pool, params, model, q)) == _bits(*residual(pool, params, model, ref))

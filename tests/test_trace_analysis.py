@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import re
@@ -8,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitmev import (
-    LabelLibrary,
     SchemaError,
     TraceParseError,
     TxRecord,
@@ -21,7 +21,7 @@ from splitmev import (
 )
 from splitmev import trace_analysis
 from splitmev.cli import main
-from splitmev.trace_analysis import CALL_KINDS, Edge, LabelEntry
+from splitmev.trace_analysis import CALL_KINDS, LABEL_HEADER, Edge, LabelEntry
 
 ROUTER = "0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa01"
 POOL_V3 = "0xbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb02"
@@ -422,6 +422,79 @@ def test_labels_csv_bad_header(tmp_path):
         read_labels_csv(bad, bad.read_text())
 
 
+LABEL_KINDS = ("router", "pool_v2", "pool_v3", "pool_manager_v4", "token", "other")  # README's list
+
+
+def dictreader_labels(path):
+    """The labels parser written out on ``csv.DictReader`` from the label format: the reference."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != LABEL_HEADER:
+            raise SchemaError(f"{path}: expected header {LABEL_HEADER}, got {reader.fieldnames}")
+        labels = {}
+        for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise SchemaError(f"line {line_no}: expected {len(LABEL_HEADER)} cells")
+            address = row["address"].lower()
+            if not re.fullmatch("0x[0-9a-f]{40}", address):
+                raise SchemaError(f"line {line_no}: bad address {row['address']!r}")
+            if row["kind"] not in LABEL_KINDS:
+                raise SchemaError(f"line {line_no}: unknown kind {row['kind']!r}; known: {sorted(LABEL_KINDS)}")
+            has_code = row["has_code"].strip().lower() in ("1", "true", "yes")
+            labels[address] = LabelEntry(**{**row, "address": address, "has_code": has_code})
+        return labels
+
+
+MIXED = "0x" + "aB" * 20
+POOL_ROW = f"{MIXED},pool_v3,uniswap,USDC-WETH,500,,true"
+
+
+def label_row(i, kind="other", has_code="1"):
+    return f"0x{'c' * 38}{i:02x},{kind},,,,,{has_code}"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param([POOL_ROW, label_row(1, "token")], id="mixed-case-address"),
+        pytest.param([POOL_ROW, label_row(1), "0x" + "AB" * 20 + ",router,,,,,1"], id="duplicate-last-wins"),
+        pytest.param([label_row(i, has_code=v) for i, v in enumerate(["1", " TRUE ", "yes", "0", ""])], id="has-code"),
+        pytest.param([POOL_ROW, "0xab,router,,,,,1"], id="bad-address"),
+        pytest.param([POOL_ROW, label_row(1, "pool_v33")], id="bad-kind"),
+        pytest.param([POOL_ROW, ",".join(POOL_ROW.split(",")[:6])], id="6-cells"),
+        pytest.param([POOL_ROW, POOL_ROW + ",extra"], id="8-cells"),
+        pytest.param(["", POOL_ROW, "", "", label_row(1)], id="blank-rows"),
+        pytest.param(["", POOL_ROW, "", label_row(1, "pool_v33")], id="bad-kind-after-blanks"),
+        pytest.param([f'"{MIXED}",token,"uni,swap","US,DC",,,yes'], id="quoted-comma"),
+    ],
+)
+def test_labels_parser_matches_dictreader_reference(tmp_path, body):
+    path = tmp_path / "labels.csv"
+    path.write_text(",".join(LABEL_HEADER) + "\n" + "\n".join(body) + "\n")
+    text = path.read_text(encoding="utf-8")
+    try:
+        expected = dictreader_labels(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            read_labels_csv(path, text)
+        assert str(info.value) == f"{path} {exc}"  # a row error names the file
+    else:
+        got = read_labels_csv(path, text)
+        assert list(got.items()) == list(expected.items())
+        assert all(key == entry.address == key.lower() for key, entry in got.items())
+
+
+@pytest.mark.parametrize("text", ["", "\n" + ",".join(LABEL_HEADER) + "\n", "address,kind\n"])
+def test_labels_header_errors_match_dictreader_reference(tmp_path, text):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as expected:
+        dictreader_labels(path)
+    with pytest.raises(SchemaError) as info:
+        read_labels_csv(path, text)
+    assert str(info.value) == str(expected.value)
+
+
 def _record(to, n=0, status="reverted"):
     return TxRecord(
         tx_hash=f"0x{to[-4:]}{n}",
@@ -440,7 +513,7 @@ def _record(to, n=0, status="reverted"):
 
 
 def test_identify_bots_rules():
-    lib = LabelLibrary()
+    lib = {}
     addrs = {
         # qualifies: enough reverts, has code, no owner, not infra
         "bot_ok": "0x1111111111111111111111111111111111111101",
@@ -475,7 +548,7 @@ def test_identify_bots_rules():
         "manager": ("pool_manager_v4", "", True),
     }
     for name, (kind, owner, code) in kinds.items():
-        lib.add(LabelEntry(address=addrs[name], kind=kind, owner_label=owner, has_code=code))
+        lib[addrs[name]] = LabelEntry(address=addrs[name], kind=kind, owner_label=owner, has_code=code)
 
     records = []
     for name, count in (
