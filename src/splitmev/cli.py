@@ -8,6 +8,11 @@ UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
 config or schema error, an unreadable or non-UTF-8 input, or an unwritable
 output; 3 numerical anomaly (no interior root, or a non-finite threshold or
 profit).
+
+``main`` parses an argv once: a subcommand's name, after an optional leading
+``--quiet``, hands the rest to that subcommand's parser alone; any other argv,
+or one with tokens that parser leaves, goes through the full parser, for its
+usage lines, errors and exit codes. No path, nor ``SPLITMEV_OUT``, may be empty.
 """
 
 from __future__ import annotations
@@ -73,9 +78,44 @@ def _write(path: Path, text: str):
         os.close(fd)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, ``pad`` being a
+    newline and ``value``'s indent. ``json`` serves ``indent`` from its pure-Python encoder
+    only, at about twice this cost: here every scalar is encoded in C, in that encoder's order."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return _JSON_WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_WORDS.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_json_key(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_json_text(key, "")}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _write_json(path: Path, doc: dict):
     """``doc`` as indented, key-sorted JSON."""
-    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, _json_text(doc, "\n") + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows):
@@ -219,47 +259,74 @@ def cmd_analyze(args, out_dir: Path):
 
 
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int, not this function's name
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+    return value
+
+
+def _path(text: str) -> Path:
+    if not text:  # Path("") is the working directory
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process (building costs about eight
-    times what parsing does)."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommands' parsers by name, built once per process
+    (building costs about eight times what parsing does)."""
     parser = argparse.ArgumentParser(prog="splitmev")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_opt = sub.add_parser("optimize", help="compute the optimal trade split")
     p_opt.set_defaults(command=cmd_optimize)
-    p_opt.add_argument("--config", required=True, type=Path)
-    p_opt.add_argument("--out", type=Path)
+    p_opt.add_argument("--config", required=True, type=_path)
+    p_opt.add_argument("--out", type=_path)
 
     p_sim = sub.add_parser("simulate", help="run a sequencer scenario (file or directory)")
     p_sim.set_defaults(command=cmd_simulate)
-    p_sim.add_argument("--config", required=True, type=Path)
-    p_sim.add_argument("--out", type=Path)
+    p_sim.add_argument("--config", required=True, type=_path)
+    p_sim.add_argument("--out", type=_path)
     p_sim.add_argument("--seed-override", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
     p_ana.set_defaults(command=cmd_analyze)
-    p_ana.add_argument("--traces", required=True, type=Path)
-    p_ana.add_argument("--labels", required=True, type=Path)
-    p_ana.add_argument("--records", required=True, type=Path)
-    p_ana.add_argument("--out", type=Path)
+    p_ana.add_argument("--traces", required=True, type=_path)
+    p_ana.add_argument("--labels", required=True, type=_path)
+    p_ana.add_argument("--records", required=True, type=_path)
+    p_ana.add_argument("--out", type=_path)
     p_ana.add_argument("--min-bot-reverts", type=_positive_int, default=10)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """What the full parser's ``parse_args(argv)`` returns, at less than half its cost
+    where the subcommand's parser takes every token after the subcommand's name: the
+    full parser would hand it those same tokens."""
+    parser, subparsers = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    quiet = argv[:1] == ["--quiet"]
+    name, *rest = argv[quiet:] or [None]
+    # the full parser rejects a "--=..." token as an abbreviation of both --help and
+    # --quiet before the subcommand's parser sees it
+    if name in subparsers and not any(token.startswith("--=") for token in rest):
+        args, extras = subparsers[name].parse_known_args(rest)
+        if not extras:
+            args.quiet, args.subcommand = quiet, name
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
-    if out is None:
-        parser.error("the following arguments are required: --out")
+    if not out:  # an empty SPLITMEV_OUT is unset: Path("") would be the working directory
+        build_parser()[0].error("the following arguments are required: --out")
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import builtins
 import collections
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -13,10 +14,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import splitmev
 from splitmev import __version__
-from splitmev.cli import main
+from splitmev.cli import _json_text, _parse, build_parser, main
 
 OPTIMIZE_CONFIG = {
     "version": 1,
@@ -534,10 +537,13 @@ def test_analyze_rejects_bad_record_address(tmp_path, fixtures_dir, capsys, colu
 def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsys):
     argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
     argv += ["--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "o")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--min-bot-reverts", "0"])
-    assert exc.value.code == 2
-    assert "--min-bot-reverts: must be >= 1" in capsys.readouterr().err
+    # a value that is not an int is worded as argparse words type=int, not by the type function's name
+    for value, message in [("0", "argument --min-bot-reverts: must be >= 1, got 0"),
+                           ("abc", "argument --min-bot-reverts: invalid int value: 'abc'")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--min-bot-reverts", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"splitmev analyze: error: {message}\n")
 
 
 def test_out_dir_from_environment(tmp_path, configs_dir, monkeypatch):
@@ -554,11 +560,19 @@ def test_out_dir_environment_read_on_every_call(tmp_path, configs_dir, monkeypat
         monkeypatch.setenv("SPLITMEV_OUT", str(tmp_path / name))
         assert main(argv) == 0
         assert (tmp_path / name / "plan.json").exists()
-    monkeypatch.delenv("SPLITMEV_OUT")
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "the following arguments are required: --out" in capsys.readouterr().err
+    # unset, or set empty: Path("") would be the working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    for value in (None, ""):
+        if value is None:
+            monkeypatch.delenv("SPLITMEV_OUT")
+        else:
+            monkeypatch.setenv("SPLITMEV_OUT", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("splitmev: error: the following arguments are required: --out\n")
+    assert list((tmp_path / "cwd").iterdir()) == []
     assert main(argv + ["--out", str(tmp_path / "third")]) == 0
     assert (tmp_path / "third" / "plan.json").exists()
     monkeypatch.setenv("SPLITMEV_OUT", str(tmp_path / "fourth"))
@@ -655,6 +669,26 @@ def test_unusable_path_exit_code(tmp_path, fixtures_dir, configs_dir, monkeypatc
     assert err.startswith("error: ") and err.count(str(path)) == 1 and "Traceback" not in err
 
 
+EMPTY_PATHS = INPUTS + [(subcommand, "--out") for subcommand in ("optimize", "simulate", "analyze")]
+
+
+@pytest.mark.parametrize("subcommand, option", EMPTY_PATHS, ids=[f"{s}{o}" for s, o in EMPTY_PATHS])
+def test_empty_path_is_a_usage_error(tmp_path, fixtures_dir, configs_dir, monkeypatch, capsys, subcommand, option):
+    # Path("") is the working directory: an --out "" wrote its outputs there, and a
+    # --traces "" would read the working directory's *.json files as traces
+    argv, _ = valid_inputs(tmp_path, fixtures_dir, configs_dir)
+    argv = [*argv[subcommand], "--out", str(tmp_path / "out")]
+    argv[argv.index(option) + 1] = ""
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    (tmp_path / "cwd" / "t.json").write_bytes((fixtures_dir / "traces" / "t01_v3_swap_usdc_weth_500.json").read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"splitmev {subcommand}: error: argument {option}: empty path\n")
+    assert [p.name for p in (tmp_path / "cwd").iterdir()] == ["t.json"] and not (tmp_path / "out").exists()
+
+
 def run_records(case, out, configs_dir, scenarios_dir, fixtures_dir):
     """The argv of ``case``, and for each output directory it fills: the
     inputs its manifest names, the sha256 of the bytes hashed, and the start
@@ -695,7 +729,9 @@ def test_run_record(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, 
     assert sorted(out.rglob("manifest.json")) == sorted(directory / "manifest.json" for directory in expected)
     subcommand = argv[0]
     for directory, (inputs, digest, _) in expected.items():
-        manifest = json.loads((directory / "manifest.json").read_text())
+        raw = (directory / "manifest.json").read_bytes()
+        manifest = json.loads(raw)
+        assert raw == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()  # the bench digests skip manifests
         stamp = datetime.datetime.strptime(manifest.pop("timestamp"), "%Y-%m-%dT%H:%M:%SZ")
         assert start <= stamp.replace(tzinfo=datetime.timezone.utc) <= end
         assert manifest == {
@@ -826,3 +862,98 @@ def test_analyze_trace_larger_than_a_read_buffer(tmp_path, fixtures_dir):
     rows = (out / "classifications.jsonl").read_text().splitlines()
     assert len(rows) == copies and len(set(rows)) == 1
     assert json.loads(rows[0])["pair"] == "USDC-WETH"
+
+
+# tokens for argvs: the subcommands and their options, abbreviations, "--",
+# "--=x" (an abbreviation of every long option), and good and bad values
+ARGV_TOKENS = ["--quiet", "optimize", "simulate", "analyze", "--config", "--out", "--seed-override", "--traces",
+               "--labels", "--records", "--min-bot-reverts", "-h", "--q", "--conf", "--", "--quiet=1", "--out=o",
+               "--=x", "", "x", "0", "abc"]
+
+
+def parse_outcome(parse, argv):
+    """The namespace, exit code, stdout and stderr of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    st.builds(lambda quiet, name, rest: quiet + [name] + rest, st.sampled_from([[], ["--quiet"]]),
+              st.sampled_from(["optimize", "simulate", "analyze"]), st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
+))
+@example(["optimize", "--config", "c", "--out", "o"])
+@example(["--quiet", "analyze", "--traces", "t", "--labels", "l", "--records", "r", "--min-bot-reverts", "3"])
+@example(["simulate", "--config", "c", "--=x"])
+@example(["optimize", "--config", "c", "--quiet"])
+@example(["optimize", "-h"])
+@example(["-h"])
+@example([])
+def test_parse_is_the_full_parser(argv):
+    # the subcommand's parser alone gives what the full parser gives, or is not used
+    assert parse_outcome(_parse, argv) == parse_outcome(build_parser()[0].parse_args, argv)
+
+
+class FloatSubclass(float):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and infinities included
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf, 10**30]),
+    st.builds(FloatSubclass, st.floats()),
+    st.text(),  # non-ASCII, surrogates and control characters included
+)
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in (st.text(), st.integers(), st.floats())),
+        st.dictionaries(json_keys, children, max_size=3),  # of mixed key types, which do not sort
+        st.dictionaries(st.text(), children, max_size=3).map(DictSubclass),
+    )
+
+
+def json_outcome(encode, doc):
+    try:
+        return encode(doc)
+    except TypeError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=500)
+@given(st.recursive(json_scalars, json_containers, max_leaves=20))
+@example({"revert_position_histogram": {10: 1, 2: 3}, "a": [], "b": {}, "c": [[]], "d": (1, True)})
+@example({True: 1, None: 2, 1.5: math.nan})
+@example(["\x00\x1f\"\\é₮\U0001f600", -0.0, 5e-324, -math.inf])
+def test_json_text_is_json_dumps(doc):
+    assert json_outcome(lambda d: _json_text(d, "\n"), doc) == json_outcome(
+        lambda d: json.dumps(d, indent=2, sort_keys=True), doc
+    )
+
+
+@pytest.mark.parametrize("doc", [b"x", {1, 2}, 1j, object(), [1, {"a": b"x"}], {(1, 2): 1}, {"a": 1, 2: 3}],
+                         ids=["bytes", "set", "complex", "object", "nested", "tuple-key", "mixed-keys"])
+def test_json_text_rejects_what_json_dumps_rejects(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _json_text(doc, "\n")
+    assert str(got.value) == str(expected.value)
