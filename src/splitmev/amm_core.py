@@ -41,28 +41,17 @@ class PoolState:
             raise DomainError(f"fee must be in [0, 1), got {self.fee}")
 
 
-def _size_error(allow_zero: bool) -> DomainError:
-    return DomainError(f"trade size must be {'nonnegative' if allow_zero else 'positive'} and finite")
-
-
-_PRECISION_GUARD = "trade size too large relative to reserves (precision guard)"
-
-
 def _check_size(pool: PoolState, q, allow_zero: bool):
-    """Check q and return it: a ``float`` is checked in plain floats and
-    returned as is, anything else is checked and returned as an array."""
-    if type(q) is float:
-        if not ((q >= 0.0 if allow_zero else q > 0.0) and math.isfinite(q)):
-            raise _size_error(allow_zero)
-        if q / pool.reserve_x > _MAX_SIZE_RATIO:
-            raise DomainError(_PRECISION_GUARD)
-        return q
-    q = np.asarray(q, dtype=float)
-    lo_ok = (q >= 0) if allow_zero else (q > 0)
-    if not np.all(lo_ok & np.isfinite(q)):
-        raise _size_error(allow_zero)
-    if np.any(q / pool.reserve_x > _MAX_SIZE_RATIO):
-        raise DomainError(_PRECISION_GUARD)
+    """Check q and return it: a ``float`` as is, anything else as an array. Each rule is an interval, so
+    an array meets it exactly when its smallest and largest elements do (NaN reaches both; empty passes)."""
+    lo = hi = q
+    if type(q) is not float:
+        q = np.asarray(q, dtype=float)
+        lo, hi = q.min(initial=math.inf), q.max(initial=-math.inf)
+    if not ((lo >= 0.0 if allow_zero else lo > 0.0) and hi < math.inf):
+        raise DomainError(f"trade size must be {'nonnegative' if allow_zero else 'positive'} and finite")
+    if hi / pool.reserve_x > _MAX_SIZE_RATIO:
+        raise DomainError("trade size too large relative to reserves (precision guard)")
     return q
 
 

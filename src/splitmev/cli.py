@@ -6,8 +6,8 @@ else, then yields each directory it filled. ``main`` is the only code that
 writes a ``manifest.json`` or prints a progress line. Every output file is
 UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
 config or schema error, an unreadable or non-UTF-8 input, or an unwritable
-output; 3 numerical anomaly (no interior root, or a non-finite threshold or
-profit).
+output; 3 numerical anomaly (no interior root, a non-finite threshold or
+profit, or a simulated arrival time with no finite block number).
 
 ``main`` parses an argv once: a subcommand's name, after an optional leading
 ``--quiet``, hands the rest to that subcommand's parser alone; any other argv,

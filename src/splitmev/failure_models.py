@@ -14,7 +14,7 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,33 +36,34 @@ DEFAULT_FLOOR = 1e-6
 
 
 def _check_q(q, q_max=None):
-    """Check q and return it: a ``float`` as is, anything else as an array."""
-    if type(q) is float:
-        ok, outside = q >= 0.0 and math.isfinite(q), q_max is not None and q > q_max
-    else:
+    """Check q and return it: a ``float`` as is, anything else as an array, checked at its ends."""
+    lo = hi = q
+    if type(q) is not float:
         q = np.asarray(q, dtype=float)
-        ok, outside = np.all((q >= 0) & np.isfinite(q)), q_max is not None and np.any(q > q_max)
-    if not ok:
+        lo, hi = q.min(initial=math.inf), q.max(initial=-math.inf)
+    if not (lo >= 0.0 and hi < math.inf):
         raise DomainError("q must be nonnegative and finite")
-    if outside:
+    if q_max is not None and hi > q_max:
         raise DomainError(f"q outside declared domain [0, {q_max}]")
     return q
 
 
-def _check_floor(floor: float):
-    require(0.0 < floor <= 0.01, "floor", f"must lie in (0, 0.01], got {floor}")
-
-
+@dataclass(frozen=True)
 class FailureModel:
     """Base: success probability p(q) with closed-form derivative.
 
-    ``prob`` and ``prob_derivative`` are vectorized over q; a Python
-    ``float`` q is checked and computed in plain floats, with the same
-    messages and results. The floor is applied after the parametric form;
-    the derivative is 0 wherever the floor binds.
+    A family is a frozen dataclass subclass that defines ``_raw_and_slope``;
+    its own ``__post_init__``, if any, ends with ``super().__post_init__()``,
+    which checks the keyword-only ``floor``. ``prob`` and ``prob_derivative`` are
+    vectorized over q; a Python ``float`` q is checked and computed in plain
+    floats, with the same messages and a numpy scalar's results. The floor is
+    applied after the parametric form; the derivative is 0 wherever it binds.
     """
 
-    floor: float
+    floor: float = field(default=DEFAULT_FLOOR, kw_only=True)
+
+    def __post_init__(self):
+        require(0.0 < self.floor <= 0.01, "floor", f"must lie in (0, 0.01], got {self.floor}")
 
     def _raw_and_slope(self, q):
         """The one kernel a family defines: the unfloored p(q) and p'(q), as plain
@@ -93,11 +94,10 @@ class LinearClamped(FailureModel):
     """p(q) = 1 - slope * q, clamped at the floor."""
 
     slope: float
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         require(0 < self.slope < math.inf, "slope", "must be positive and finite")
-        _check_floor(self.floor)
+        super().__post_init__()
 
     def _raw_and_slope(self, q):
         # a float slope even from an int, as _as_output takes; np.where broadcasts it over an array q
@@ -113,7 +113,6 @@ class PowerConcave(FailureModel):
 
     q_max: float
     alpha: float = 2.0
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         require(0 < self.q_max < math.inf, "q_max", "must be positive and finite")
@@ -122,7 +121,7 @@ class PowerConcave(FailureModel):
             scale = np.float64(self.q_max) ** self.alpha
         require(np.isfinite(scale), "q_max", "q_max**alpha overflows")
         require(scale >= sys.float_info.min, "q_max", "q_max**alpha underflows")  # the slope divides by it
-        _check_floor(self.floor)
+        super().__post_init__()
 
     def _raw_and_slope(self, q):
         # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
@@ -153,12 +152,11 @@ class QuadraticConcave(FailureModel):
 
     a: float
     b: float
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         require(0 <= self.a < math.inf, "a", "must be nonnegative and finite")
         require(0 <= self.b < math.inf and self.a + self.b > 0, "b", "must be nonnegative and finite, with a + b > 0")
-        _check_floor(self.floor)
+        super().__post_init__()
 
     def _raw_and_slope(self, q):
         return 1.0 - self.a * q - self.b * q * q, -(self.a + 2.0 * self.b * q)
@@ -176,7 +174,6 @@ class TableInterpolated(FailureModel):
 
     qs: tuple[float, ...]
     ps: tuple[float, ...]
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         qs, ps = np.asarray(self.qs, float), np.asarray(self.ps, float)
@@ -186,7 +183,7 @@ class TableInterpolated(FailureModel):
             raise DomainError("table must start at (0, 1)")
         require(np.all(np.diff(qs) > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
         require(np.all(np.diff(ps) < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
-        _check_floor(self.floor)
+        super().__post_init__()
 
     def domain_max(self):
         return self.qs[-1]
@@ -208,11 +205,6 @@ class TableInterpolated(FailureModel):
 @dataclass(frozen=True)
 class ConstantSuccess(FailureModel):
     """p(q) = 1 everywhere; lies on the boundary of the admissible class."""
-
-    floor: float = DEFAULT_FLOOR
-
-    def __post_init__(self):
-        _check_floor(self.floor)
 
     def _raw_and_slope(self, q):
         return 1.0 - 0.0 * q, 0.0 * q  # floats for a float q, arrays for an array

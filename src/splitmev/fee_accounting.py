@@ -40,9 +40,9 @@ class SchemaError(ValueError):
     """Malformed record row or CSV header."""
 
 
-def _address(value: str, name: str) -> str:
-    """``value`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
-    address = value.lower()
+def _address(value, name: str) -> str:
+    """``str(value)`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
+    address = str(value).lower()
     if not _ADDR_RE.fullmatch(address):
         raise SchemaError(f"bad {name} {value!r}")
     return address

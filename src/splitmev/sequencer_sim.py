@@ -33,6 +33,7 @@ import numpy as np
 
 from .amm_core import PoolState, apply_swap, swap_out
 from .config import ConfigError, build, require
+from .split_optimizer import NoRootError
 
 __all__ = [
     "ConfigError",
@@ -266,11 +267,14 @@ def run(config: SimConfig) -> SimReport:
     bw = config.effective_batch_window
     policy = "fcfs" if bw <= 0 else config.ordering
     batches: dict[tuple[int, int, int], list[SimTx]] = {}
-    for tx in txs:
-        t = tx.arrival_time
-        block = int(t // bt) + 1
-        window = int((t - (block - 1) * bt) // bw) if bw > 0 else 0
-        batches.setdefault((block, bisect_right(opportunities, t), window), []).append(tx)
+    try:
+        for tx in txs:
+            t = tx.arrival_time
+            block = int(t // bt) + 1
+            window = int((t - (block - 1) * bt) // bw) if bw > 0 else 0
+            batches.setdefault((block, bisect_right(opportunities, t), window), []).append(tx)
+    except (OverflowError, ValueError):  # int() of an infinite or NaN block or window number
+        raise NoRootError(f"arrival time {t} has no block: the simulator's arithmetic has left the float range")
 
     cex, gas, penalty = config.cex_price, config.gas_overhead, config.liquidation_penalty
     names = [bot.name for bot in config.bots]

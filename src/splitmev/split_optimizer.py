@@ -8,7 +8,7 @@ is at or above a computable threshold) or the unique root of a monotone
 residual on (0, D); the chunk count is the ceiling of D over that root.
 
 Array q and n broadcast; a Python ``float`` q or ``int`` n is checked and
-computed in plain floats, with the same checks, messages and results.
+computed in plain floats, with the same checks, messages and a numpy scalar's results.
 
 A brute-force integer scan over n is provided as an independent oracle;
 the ceiling rule can be off by one against the true integer optimum, and
@@ -47,7 +47,7 @@ REL_TOL = 1e-10  # of the root residual and of the bracket around q*
 
 class NoRootError(RuntimeError):
     """The residual is nonpositive at q = D * 1e-9, so the root degenerates
-    to 0, or the threshold or an expected profit is not finite."""
+    to 0, or a threshold, expected profit or simulated block number is not finite."""
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,12 @@ class SplitPlan:
 
 
 def _check_chunk(params: ArbParams, q):
-    """Check q and return it: a ``float`` as is, anything else as an array."""
-    if type(q) is float:
-        ok = 0.0 < q <= params.total_size
-    else:
+    """Check q and return it: a ``float`` as is, anything else as an array, checked at its ends."""
+    lo = hi = q
+    if type(q) is not float:
         q = np.asarray(q, dtype=float)
-        ok = np.all((q > 0) & (q <= params.total_size))
-    if not ok:
+        lo, hi = q.min(initial=math.inf), q.max(initial=-math.inf)
+    if not (0.0 < lo and hi <= params.total_size):
         raise DomainError(f"chunk size must lie in (0, {params.total_size}]")
     return q
 

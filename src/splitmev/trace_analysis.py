@@ -24,7 +24,7 @@ from json.scanner import py_make_scanner
 from typing import NamedTuple
 
 from .config import read_input
-from .fee_accounting import _ADDR_RE, SchemaError, TxRecord, _address, _csv_records
+from .fee_accounting import SchemaError, TxRecord, _address, _csv_records
 
 __all__ = [
     "ExecutionGraph",
@@ -59,14 +59,6 @@ def _path(where) -> str:
         where, i = where
         steps.append(f".children[{i}]")
     return where + "".join(reversed(steps))
-
-
-def _norm_address(addr, where, memo: dict) -> str:
-    a = str(addr).lower()
-    if not _ADDR_RE.fullmatch(a):
-        raise TraceParseError(f"{_path(where)}: bad address {addr!r}")
-    memo[addr] = a
-    return a
 
 
 class Edge(NamedTuple):
@@ -111,13 +103,15 @@ def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
             raise TraceParseError(f"{_path(where)}: children must be a list, got {children!r}")
         try:
             addr = d["from_address"]
-            caller = memo.get(addr) or _norm_address(addr, where, memo)
+            caller = memo.get(addr) or memo.setdefault(addr, _address(addr, "address"))
             addr = d["to_address"]
-            callee = memo.get(addr) or _norm_address(addr, where, memo)
+            callee = memo.get(addr) or memo.setdefault(addr, _address(addr, "address"))
         except KeyError as exc:
             raise TraceParseError(f"{_path(where)}: missing field {exc}") from exc
         except TypeError:  # an unhashable JSON array or object
             raise TraceParseError(f"{_path(where)}: bad address {addr!r}") from None
+        except SchemaError as exc:
+            raise TraceParseError(f"{_path(where)}: {exc}") from None
         if parent_depth is not None and depth != parent_depth + 1:
             raise TraceParseError(f"{_path(where)}: depth {depth} != parent depth + 1")
         if level > MAX_CALL_DEPTH:

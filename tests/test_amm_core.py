@@ -172,3 +172,31 @@ def test_float_fast_path_matches_array_path(pool, q):
     if q == 0:  # allowed by swap_out and marginal_out, not by apply_swap
         assert _result_or_error(swap_out, pool, q) == 0.0
         assert _result_or_error(apply_swap, pool, q) == "DomainError: trade size must be positive and finite"
+
+
+@given(pools, st.one_of(st.floats(), odd_sizes))
+@example(PoolState(1e2, 1e2, 0), math.nan)
+@example(PoolState(1e2, 1e2, 0), -0.0)
+@settings(max_examples=300)
+def test_array_check_holds_at_any_position(pool, q):
+    """An array is checked on its smallest and largest elements: with q among
+    good sizes, wherever it stands, the array raises the float's message, or
+    gives the float's result at q's place."""
+    for fn in (swap_out, marginal_out):
+        scalar = _result_or_error(fn, pool, q)
+        for i in range(3):
+            arr = np.ones(3)
+            arr[i] = q
+            result = _result_or_error(fn, pool, arr)
+            if isinstance(scalar, str):
+                assert result == scalar
+            else:
+                assert float(result[i]).hex() == scalar.hex()
+
+
+def test_empty_array_passes():
+    pool = PoolState(1000.0, 2000.0, 0.003)
+    for fn in (swap_out, marginal_out):
+        for empty in (np.array([]), np.empty((2, 0))):
+            out = fn(pool, empty)
+            assert type(out) is np.ndarray and out.shape == empty.shape

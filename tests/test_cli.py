@@ -374,6 +374,21 @@ def test_simulate_unknown_field_exit_code(tmp_path, scenarios_dir, capsys):
     assert "speed_mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("latency, arrival", [
+    ({"latency_mean": 1.7e308}, "1.7e+308"),  # finite, but arrival // block_time overflows
+    ({"latency_mean": 1.7e308, "latency_jitter": 1e308}, "inf"),  # inf // block_time is NaN
+])
+def test_simulate_arrival_overflow_exit_code(tmp_path, scenarios_dir, capsys, latency, arrival):
+    cfg = json.loads((scenarios_dir / "fcfs_duplicates.json").read_text())
+    cfg["bots"] = [dict(cfg["bots"][0], **latency)]
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", (
+        f"numerical anomaly: arrival time {arrival} has no block: the simulator's arithmetic has left the float range\n"
+    ))
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
     out = tmp_path / "out"
     rc = main(

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -162,12 +163,25 @@ def test_from_config():
         from_config("linear_clamped", {"nope": 1})
 
 
+@pytest.mark.parametrize("parameters, message", [
+    # the family's own fields are named before the floor the base class declares
+    ({"slope": "x", "floor": "y"}, "slope: expected a number"),
+    ({"floor": "y"}, "slope: required"),
+    ({"slope": 0.001, "floor": 0.5}, "floor: must lie in (0, 0.01], got 0.5"),
+    ({"floor": 0.001}, "slope: required"),
+])
+def test_from_config_names_the_first_bad_field(parameters, message):
+    with pytest.raises(ConfigError) as info:
+        from_config("linear_clamped", parameters)
+    assert str(info.value) == f"config.model.parameters.{message}"
+
+
 @dataclass(frozen=True)
 class KernelOnlyLinear(FailureModel):
-    """A custom family that defines nothing but the kernel: LinearClamped's form."""
+    """A custom family that defines nothing but the kernel: LinearClamped's form.
+    The floor, its default and its check come from the base class."""
 
     slope: float
-    floor: float = DEFAULT_FLOOR
 
     def _raw_and_slope(self, q):
         return 1.0 - self.slope * q, -self.slope
@@ -185,6 +199,9 @@ def test_custom_family_needs_only_the_kernel():
             assert bits(getattr(custom, method)(q)) == bits(getattr(linear, method)(q)), (method, q)
     pool, params = PoolState(1000.0, 2000.0, 0.0), ArbParams(100.0, 1.9, 1.0)
     assert repr(plan(pool, params, custom)) == repr(plan(pool, params, linear))
+    assert custom.floor == DEFAULT_FLOOR and KernelOnlyLinear(slope=0.001, floor=0.01).prob(5000.0) == 0.01
+    with pytest.raises(ConfigError, match=re.escape("floor: must lie in (0, 0.01], got 0.5")):
+        KernelOnlyLinear(slope=0.001, floor=0.5)
 
 
 def test_constant_success_boundary_model():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -288,7 +289,8 @@ BAD_INPUTS = (
 @pytest.mark.parametrize("f, x", BAD_INPUTS)
 def test_scalar_and_array_paths_raise_alike(f, x):
     # a Python float q (int n) is checked in plain comparisons, an array by
-    # numpy; both raise the same exception with the same message
+    # the same comparisons on its smallest and largest elements; both raise
+    # the same exception with the same message, wherever the bad element stands
     def raised(arg):
         with pytest.raises(Exception) as info:
             f(arg)
@@ -297,7 +299,41 @@ def test_scalar_and_array_paths_raise_alike(f, x):
     scalar = raised(x)
     assert scalar[0] is DomainError
     assert raised(np.array([x])) == scalar
+    assert raised(np.asarray(x)) == scalar  # a 0-d array
     assert raised(np.asarray(x)[()]) == scalar  # a numpy scalar
+    if type(x) is float:  # a good q on either side: 50 is in every domain and in (0, D]
+        assert raised(np.array([50.0, x, 50.0])) == scalar
+        assert raised(np.array([[50.0, 50.0], [x, 50.0]])) == scalar
+
+
+CHECKED = {
+    "prob": lambda q: FAMILIES["table"].prob(q),
+    "prob_derivative": lambda q: FAMILIES["linear"].prob_derivative(q),
+    "per_swap_profit": lambda q: per_swap_profit(POOL, PARAMS, FAMILIES["power"], q),
+    "marginal_benefit": lambda q: marginal_benefit(POOL, PARAMS, FAMILIES["quadratic"], q),
+    "total_profit": lambda n: total_profit(POOL, PARAMS, FAMILIES["constant"], n),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_checks_pass_empty_and_zero_d_arrays(name):
+    # an empty array passes every check, as np.all of no elements did, and
+    # gives an empty result of its shape; a 0-d array gives a float
+    f = CHECKED[name]
+    for empty in (np.array([]), np.empty((2, 0))):
+        out = f(empty)
+        assert type(out) is np.ndarray and out.shape == empty.shape
+    x = 2 if name == "total_profit" else 5.0
+    assert _bits(f(np.asarray(x))) == _bits(f(x)) and type(f(np.asarray(x))) is float
+
+
+def test_negative_zero_q():
+    # -0.0 is a nonnegative q for the failure models, and not a chunk size
+    linear = FAMILIES["linear"]
+    assert (linear.prob(-0.0), linear.prob(np.array([1.0, -0.0]))[1]) == (1.0, 1.0)
+    for q in (-0.0, np.array(-0.0), np.array([50.0, -0.0])):
+        with pytest.raises(DomainError, match=re.escape("chunk size must lie in (0, 100.0]")):
+            per_swap_profit(POOL, PARAMS, linear, q)
 
 
 def test_chunk_count_grows_as_overhead_falls():
