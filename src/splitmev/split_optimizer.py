@@ -46,8 +46,9 @@ REL_TOL = 1e-10  # of the root residual and of the bracket around q*
 
 
 class NoRootError(RuntimeError):
-    """The residual is nonpositive at q = D * 1e-9, so the root degenerates
-    to 0, or a threshold, expected profit or simulated block number is not finite."""
+    """A numerical anomaly: a residual nonpositive at q = D * 1e-9, so the root
+    degenerates to 0; a threshold, expected profit or simulated block number that
+    is not finite; or a simulated profit that is not finite."""
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,19 @@ def test_simulate_arrival_overflow_exit_code(tmp_path, scenarios_dir, capsys, la
     assert list(out.iterdir()) == []
 
 
+def test_simulate_profit_overflow_exit_code(tmp_path, scenarios_dir, capsys):
+    # finite costs whose sum with cex_price * size overflows: each reverted profit is -inf
+    cfg = json.loads((scenarios_dir / "fcfs_duplicates.json").read_text())
+    cfg.update(gas_overhead=1.7e308, liquidation_penalty=1.7e308)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", (
+        "numerical anomaly: bot 'spammer' has a total profit of -inf: "
+        "the simulator's arithmetic has left the float range\n"
+    ))
+    assert list(out.iterdir()) == []
+
+
 def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
     out = tmp_path / "out"
     rc = main(
@@ -460,6 +473,26 @@ def test_analyze_reads_each_input_once(tmp_path, fixtures_dir, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     # the bytes that were read once are the bytes hashed: labels, then records
     assert manifest["config_sha256"] == hashlib.sha256(labels.read_bytes() + records.read_bytes()).hexdigest()
+
+
+def test_analyze_malformed_trace_leaves_out_as_it_was(tmp_path, fixtures_dir, capsys):
+    # classifications are written only once every trace has parsed: a bad
+    # trace after good ones leaves an earlier run's files as they were
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for path in (fixtures_dir / "traces").iterdir():
+        (traces / path.name).write_bytes(path.read_bytes())
+    out = tmp_path / "out"
+    argv = ["--quiet", "analyze", "--traces", str(traces), "--labels", str(fixtures_dir / "labels.csv"),
+            "--records", str(fixtures_dir / "records.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # one more good trace, so lines streamed before the bad one would differ from the first run's
+    (traces / "t21_copy.json").write_bytes((traces / "t01_v3_swap_usdc_weth_500.json").read_bytes())
+    bad = write_json(traces / "zz_bad.json", {"from_address": "0xzz"})  # sorts after every good trace
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}[0]: bad address '0xzz'\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_analyze_empty_traces_dir(tmp_path, fixtures_dir):
@@ -822,23 +855,37 @@ def test_new_outputs_get_the_mode_open_gives(tmp_path, configs_dir):
     assert modes == {"manifest.json": 0o660, "plan.json": 0o660, "profit_curve.csv": 0o660}
 
 
-def test_short_writes_are_completed(tmp_path, configs_dir, monkeypatch):
+def command_config(command, configs_dir, scenarios_dir):
+    return {"optimize": configs_dir / "optimize_worked.json", "simulate": scenarios_dir / "fcfs_duplicates.json"}[command]
+
+
+@pytest.mark.parametrize("command, names", [
+    ("optimize", ("plan.json", "profit_curve.csv")),
+    ("simulate", ("report.json", "metrics.json")),
+], ids=["optimize", "simulate"])
+def test_short_writes_are_completed(tmp_path, configs_dir, scenarios_dir, monkeypatch, command, names):
     # a write may take fewer bytes than it was given; the rest follow
-    argv = ["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out"]
+    argv = ["--quiet", command, "--config", str(command_config(command, configs_dir, scenarios_dir)), "--out"]
     assert main([*argv, str(tmp_path / "whole")]) == 0
     write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
     assert main([*argv, str(tmp_path / "short")]) == 0
     monkeypatch.undo()
-    for name in ("plan.json", "profit_curve.csv"):
+    for name in names:
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("name", ["plan.json", "profit_curve.csv", "manifest.json"])
-def test_unwritable_output_exit_code(tmp_path, configs_dir, capsys, name):
+@pytest.mark.parametrize("command, name", [
+    pytest.param("optimize", "plan.json", id="plan.json"),
+    pytest.param("optimize", "profit_curve.csv", id="profit_curve.csv"),
+    pytest.param("optimize", "manifest.json", id="manifest.json"),
+    pytest.param("simulate", "report.json", id="report.json"),
+])
+def test_unwritable_output_exit_code(tmp_path, configs_dir, scenarios_dir, capsys, command, name):
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)  # as a file without write permission; root ignores chmod
-    assert main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out", str(out)]) == 2
+    argv = ["--quiet", command, "--config", str(command_config(command, configs_dir, scenarios_dir))]
+    assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / name) in err and "Traceback" not in err
 
