@@ -90,11 +90,19 @@ def marginal_out_unchecked(pool: PoolState, q):
 
 
 def apply_swap(pool: PoolState, q: float) -> PoolState:
-    """Pool state after a successful swap of q units of X."""
+    """Pool state after a successful swap of q units of X.
+
+    Only the new reserves, both floats, can break a rule of ``PoolState``,
+    and they are checked as ``__post_init__`` checks a float; the fee is
+    carried over. A valid result is built as ``PoolState.__init__`` builds
+    it, at about a third of the cost of a call to it, and an invalid one
+    through it, for its ``DomainError``.
+    """
     q = float(_check_size(pool, q, allow_zero=False))
-    dy = swap_out_unchecked(pool, q)
-    return PoolState(
-        reserve_x=pool.reserve_x + (1.0 - pool.fee) * q,
-        reserve_y=pool.reserve_y - dy,
-        fee=pool.fee,
-    )
+    x = pool.reserve_x + (1.0 - pool.fee) * q
+    y = pool.reserve_y - swap_out_unchecked(pool, q)
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        return PoolState(x, y, pool.fee)  # raises
+    new = object.__new__(PoolState)
+    object.__setattr__(new, "__dict__", {"reserve_x": x, "reserve_y": y, "fee": pool.fee})
+    return new

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -59,6 +60,34 @@ def test_domain_errors():
         marginal_out(PoolState(1, 1, 0), -1e-9)
     with pytest.raises(DomainError):
         apply_swap(PoolState(1, 1, 0), 0)
+
+
+@pytest.mark.parametrize(
+    "pool, q, message",
+    [
+        # x + q overflows to inf
+        (PoolState(1e308, 1.0, 0.0), 1e308, "reserve_x must be positive, got inf"),
+        # the output rounds to the whole of y: y - dy is 0.0
+        (PoolState(1.0, 5e-324, 0.0), 1e11, "reserve_y must be positive, got 0.0"),
+    ],
+)
+def test_apply_swap_checks_the_new_reserves(pool, q, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        apply_swap(pool, q)
+
+
+@given(pools, st.floats(1e-3, 1e6))
+@settings(max_examples=100)
+def test_apply_swap_result_is_a_pool_state(pool, q):
+    # the pool apply_swap returns is indistinguishable from one built by PoolState
+    new = apply_swap(pool, q)
+    built = PoolState(new.reserve_x, new.reserve_y, pool.fee)
+    assert type(new) is PoolState and new.fee == pool.fee
+    assert new == built and hash(new) == hash(built) and repr(new) == repr(built)
+    assert vars(new) == vars(built) and list(vars(new)) == list(vars(built))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        new.reserve_x = 1.0
+    assert dataclasses.replace(new, fee=0.5) == PoolState(new.reserve_x, new.reserve_y, 0.5)
 
 
 def test_precision_guard():

@@ -3,6 +3,7 @@ import collections
 import contextlib
 import csv
 import datetime
+import gc
 import hashlib
 import io
 import json
@@ -12,13 +13,14 @@ import pathlib
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitmev
-from splitmev import __version__
+from splitmev import ConfigError, NoRootError, __version__, cli
 from splitmev.cli import _json_text, _parse, build_parser, main
 
 OPTIMIZE_CONFIG = {
@@ -795,6 +797,55 @@ def test_run_record(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, 
     assert len(lines) == (0 if quiet else len(expected))
     for line, (_, _, prefix) in zip(lines, expected.values()):
         assert line.startswith(prefix), (line, prefix)
+
+
+def test_manifest_stamps_the_second_time_time_reads(tmp_path, monkeypatch):
+    # half a millisecond before a second ends: the stamp is that second, as
+    # time.time() tells it, whatever the kernel's coarse clock reads
+    second = 1_700_000_000
+    monkeypatch.setattr(time, "time", lambda: second + 0.9995)
+    assert optimize_into(tmp_path, OPTIMIZE_CONFIG, tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["timestamp"] == time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "fault, code",
+    [(None, 0), ("usage", 2), (ConfigError("x"), 2), (NoRootError("x"), 3), (KeyError("x"), KeyError)],
+    ids=["ok", "usage", "config", "anomaly", "escaping"],
+)
+def test_main_pauses_gc_and_restores_it(tmp_path, monkeypatch, capsys, enabled, fault, code):
+    # the cyclic collector is off while a command runs, and main leaves it as
+    # the caller had it, however the command ends
+    seen = []
+
+    def command(args, out_dir):
+        seen.append(gc.isenabled())
+        if fault is not None:
+            raise fault
+        yield from ()
+
+    def parse(argv):
+        args = _parse(argv)
+        args.command = command
+        return args
+
+    monkeypatch.setattr(cli, "_parse", parse)
+    argv = ["optimize", "--config", "c.json", "--out", str(tmp_path)] + ["--bogus"] * (fault == "usage")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            result = main(argv)
+        except SystemExit as exc:  # a usage error
+            result = exc.code
+        except KeyError:
+            result = KeyError
+        assert result == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == ([] if fault == "usage" else [False])
 
 
 def test_simulate_directory_failure_keeps_earlier_scenarios(tmp_path, capsys):

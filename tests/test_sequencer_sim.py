@@ -571,3 +571,35 @@ def test_to_json_writes_any_float_as_json_does():
     for values in [(math.nan, 1.0), (math.inf, -math.inf), (np.float64(0.1), np.float64(-1e-7))]:
         report = SimReport(0, 1, (row(0, values[0], 0.5), row(1, 0.25, values[1])), {"a": values[1]})
         assert report.to_json() == dict_json(report)
+
+
+def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reverted"):
+    return TxOutcome(0, "a", seq, 1, seq, status, size, 0.0, arrival, payout, profit)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # one (bot, size) order's reverts need not share a payout or a profit
+        [reverted(0), reverted(1, payout=0.5), reverted(2, profit=-2.5), reverted(3, 0.5, -2.5), reverted(4)],
+        # a revert's payout and profit are key fields: encoded by json.dumps, whatever their value
+        [reverted(0, profit=math.nan), reverted(1, profit=math.inf), reverted(2, profit=-math.inf), reverted(3)],
+        [reverted(0, payout=math.nan, profit=math.nan), reverted(1, payout=math.nan, profit=math.nan)],
+        # numpy scalars in a revert's key fields, and in its other fields
+        [reverted(0, np.float64(0.0), np.float64(-1.5)), reverted(1, 0.0, np.float64(-1e-7)), reverted(2)],
+        [reverted(0, arrival=np.float64(0.1)), reverted(1, arrival=0.1)],
+        [reverted(0, arrival=math.nan), reverted(1, arrival=-math.inf)],
+        # successes and reverts interleaved, each status in its own template
+        [reverted(0, 2.0, 0.5, status="success"), reverted(1), reverted(2, 1.0, -0.5, status="success"), reverted(3)],
+        # a status that is neither success nor reverted: every row through json.dumps
+        [reverted(0, status="pending"), reverted(1), reverted(2, 2.0, 0.5, status="success")],
+        [reverted(0, status="success%s"), reverted(1, status='re"verted')],
+        # no rows of one status, or none at all
+        [reverted(0, 2.0, 0.5, status="success")],
+        [reverted(0)],
+        [],
+    ],
+)
+def test_to_json_of_hand_built_reports(rows):
+    report = SimReport(3, 1, tuple(rows), {"a": -1.5})
+    assert report.to_json() == dict_json(report)
