@@ -59,12 +59,13 @@ EXIT_CONFIG = 2
 EXIT_ANOMALY = 3
 
 
-def _load_json(path: Path) -> tuple[dict, bytes]:
-    """The parsed document and the bytes it was parsed from, read once."""
+def _load_config(path: Path, build_config):
+    """``build_config`` of the JSON document at ``path``, and the bytes it was parsed from, read
+    once; a document that is not JSON, or that ``build_config`` rejects, raises naming the path."""
     text, raw = read_input(path, ConfigError)
     try:
-        return json.loads(text), raw
-    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
+        return build_config(json.loads(text)), raw
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deeply, or a ConfigError
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -147,10 +148,13 @@ class OptimizeConfig:
     model: ModelConfig
 
 
-def cmd_optimize(args, out_dir: Path):
-    doc, raw = _load_json(args.config)
+def _optimize_config(doc):  # the config and its failure model
     cfg = build(OptimizeConfig, doc)
-    model = model_from_config(cfg.model.family, cfg.model.parameters)
+    return cfg, model_from_config(cfg.model.family, cfg.model.parameters)
+
+
+def cmd_optimize(args, out_dir: Path):
+    (cfg, model), raw = _load_config(args.config, _optimize_config)
     result = plan(cfg.pool, cfg.params, model)
 
     n_curve = min(10 * result.num_chunks, 1000)
@@ -176,8 +180,7 @@ def cmd_simulate(args, out_dir: Path):
             raise ConfigError(f"{args.config}: no *.json scenario configs found")
     for config_path, sub in runs:
         sub.mkdir(parents=True, exist_ok=True)
-        doc, raw = _load_json(config_path)
-        config = SimConfig.from_dict(doc)
+        config, raw = _load_config(config_path, SimConfig.from_dict)
         if args.seed_override is not None:
             config = dataclasses.replace(config, seed=args.seed_override)
         report = run(config)
@@ -258,13 +261,14 @@ def cmd_analyze(args, out_dir: Path):
     yield out_dir, inputs, digest, progress
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(lowest: int, text: str) -> int:
+    """An argparse ``type`` once ``functools.partial`` binds ``lowest``."""
     try:
         value = int(text)
     except ValueError:  # argparse's own wording for type=int, not this function's name
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {text}")
     return value
 
 
@@ -291,7 +295,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_sim.set_defaults(command=cmd_simulate)
     p_sim.add_argument("--config", required=True, type=_path)
     p_sim.add_argument("--out", type=_path)
-    p_sim.add_argument("--seed-override", type=int, default=None)
+    p_sim.add_argument("--seed-override", type=functools.partial(_int_at_least, 0), default=None)
 
     p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
     p_ana.set_defaults(command=cmd_analyze)
@@ -299,7 +303,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_ana.add_argument("--labels", required=True, type=_path)
     p_ana.add_argument("--records", required=True, type=_path)
     p_ana.add_argument("--out", type=_path)
-    p_ana.add_argument("--min-bot-reverts", type=_positive_int, default=10)
+    p_ana.add_argument("--min-bot-reverts", type=functools.partial(_int_at_least, 1), default=10)
 
     return parser, sub.choices
 
@@ -329,19 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _main(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _main(argv: list[str] | None) -> int:
-    args = _parse(argv)
-    out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
-    if not out:  # an empty SPLITMEV_OUT is unset: Path("") would be the working directory
-        build_parser()[0].error("the following arguments are required: --out")
-    out_dir = Path(out)
-    try:
+        args = _parse(argv)
+        out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
+        if not out:  # an empty SPLITMEV_OUT is unset: Path("") would be the working directory
+            build_parser()[0].error("the following arguments are required: --out")
+        out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         # each directory's manifest follows its outputs: a failing scenario leaves earlier ones whole
         for directory, inputs, digest, progress in args.command(args, out_dir):
@@ -364,6 +360,9 @@ def _main(argv: list[str] | None) -> int:
     except NoRootError as exc:
         print(f"numerical anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

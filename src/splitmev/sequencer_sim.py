@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, takewhile
+from itertools import chain, count, takewhile
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -143,58 +143,23 @@ class TxOutcome(NamedTuple):
 
 
 _OUTCOME_FIELDS = TxOutcome._fields
-# by status, the fields that all rows of one (bot, size) order with that
-# status share: a revert's payout (0.0) and profit too. Each report row
-# fills in the sorted rest
-_KEY_FIELDS = {
-    "success": ("bot_id", "bot_name", "priority_fee", "size", "status"),
-    "reverted": ("bot_id", "bot_name", "payout", "priority_fee", "profit", "size", "status"),
-}
-_ROW_PARTS = {  # status -> (getter of a row's key, getter of its other fields)
-    status: (attrgetter(*fields), attrgetter(*sorted(set(_OUTCOME_FIELDS) - set(fields))))
-    for status, fields in _KEY_FIELDS.items()
-}
-_STATUS = attrgetter("status")
+# the fields that one (bot, size) order's rows share but for their status,
+# and the sorted rest, which each report row fills in
+_KEY_FIELDS = ("bot_id", "bot_name", "priority_fee", "size", "status")
+_ROW_KEY = attrgetter(*_KEY_FIELDS)
+_ROW_VALUES = attrgetter(*sorted(set(_OUTCOME_FIELDS) - set(_KEY_FIELDS)))
 
 
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _row_template(status: str, key: tuple) -> str:
-    """``%``-template of the report rows of this status and key: the keys
-    in sorted order, the key's fields encoded by ``json.dumps``, a ``%r``
-    for each other field."""
-    encoded = {f: _dumps(v).replace("%", "%%") for f, v in zip(_KEY_FIELDS[status], key)}
+def _row_template(key: tuple) -> str:
+    """``%``-template of the report rows with this ``_ROW_KEY``: the keys in
+    sorted order, the key's fields encoded by ``json.dumps``, a ``%r`` for
+    each other field."""
+    encoded = {f: _dumps(v).replace("%", "%%") for f, v in zip(_KEY_FIELDS, key)}
     return "{%s}" % ",".join(f'"{f}":{encoded.get(f, "%r")}' for f in sorted(_OUTCOME_FIELDS))
-
-
-def _templated_rows(outcomes: tuple[TxOutcome, ...]) -> str | None:
-    """The rows of ``SimReport.to_json``, each written from the template of
-    its status and key, or None where a template could write a row wrongly.
-
-    Rows whose key fields compare equal share a template, as all rows of
-    one of ``run``'s (bot, size) orders and status do: so 0.0 and -0.0, or
-    1 and 1.0, in one key field are both written as the first row has it.
-    ``%r`` writes an int or a finite float as ``json.dumps`` does. The sum
-    of the other fields is a finite ``float`` only if none of them is
-    infinite, NaN or a numpy scalar. The rows of each status are written in
-    turn, then merged back into report order."""
-    statuses = list(map(_STATUS, outcomes))
-    if statuses.count("success") + statuses.count("reverted") != len(statuses):
-        return None
-    texts = {}  # status -> an iterator over the texts of its rows, in report order
-    total = 0.0
-    for status, (row_key, row_values) in _ROW_PARTS.items():
-        rows = list(compress(outcomes, map(status.__eq__, statuses)))
-        keys = list(map(row_key, rows))
-        values = list(map(row_values, rows))
-        total += sum(chain.from_iterable(values))
-        templates = {key: _row_template(status, key) for key in set(keys)}
-        texts[status] = map(str.__mod__, map(templates.__getitem__, keys), values)
-    if type(total) is not float or not math.isfinite(total):
-        return None
-    return ",".join(map(next, map(texts.__getitem__, statuses)))
 
 
 @dataclass(frozen=True)
@@ -205,13 +170,22 @@ class SimReport:
     per_bot_profit: dict[str, float]
 
     def to_json(self) -> str:
-        """The report as ``json.dumps(..., sort_keys=True)`` writes it,
-        compact: its rows from templates (``_templated_rows``), or, where
-        that could go wrong (a status other than ``success`` or
-        ``reverted``, an infinite, NaN or numpy scalar outside a row's key),
-        each row through ``json.dumps``."""
-        rows = _templated_rows(self.outcomes)
-        if rows is None:
+        """The report as ``json.dumps(..., sort_keys=True)`` writes it, compact.
+
+        Each row fills the template of its ``_ROW_KEY`` with its other
+        fields. Rows whose key fields compare equal, as all rows of one of
+        ``run``'s (bot, size) orders and status do, share a template, so 0.0
+        and -0.0, or 1 and 1.0, are written as the first row has them
+        (``run`` never mixes them within an order). ``%r`` writes an int or
+        a finite float as ``json.dumps`` does. A sum of the other fields
+        that is not a finite ``float`` (an infinite, NaN or numpy value)
+        sends every row through ``json.dumps``."""
+        keys = list(map(_ROW_KEY, self.outcomes))
+        values = list(map(_ROW_VALUES, self.outcomes))
+        if type(total := sum(chain.from_iterable(values))) is float and math.isfinite(total):
+            templates = {key: _row_template(key) for key in set(keys)}
+            rows = ",".join(map(str.__mod__, map(templates.__getitem__, keys), values))
+        else:
             rows = ",".join(_dumps(o._asdict()) for o in self.outcomes)
         return '{"num_blocks":%s,"outcomes":[%s],"per_bot_profit":%s,"seed":%s}' % (
             _dumps(self.num_blocks), rows, _dumps(self.per_bot_profit), _dumps(self.seed)

@@ -274,7 +274,7 @@ def test_malformed_config_names_field(tmp_path, capsys, subcommand, cfg, field):
     path = write_json(tmp_path / "cfg.json", cfg)
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"error: {field}: " in err
+    assert f"error: {path}: {field}: " in err
     assert "Traceback" not in err
 
 
@@ -596,6 +596,16 @@ def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsy
         assert capsys.readouterr().err.endswith(f"splitmev analyze: error: {message}\n")
 
 
+def test_simulate_rejects_negative_seed_override(tmp_path, scenarios_dir, capsys):
+    # a usage error that names the option, not the config file's seed
+    argv = ["simulate", "--config", str(scenarios_dir / "fcfs_duplicates.json"), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed-override", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("splitmev simulate: error: argument --seed-override: must be >= 0, got -1\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_dir_from_environment(tmp_path, configs_dir, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("SPLITMEV_OUT", str(out))
@@ -860,7 +870,7 @@ def test_simulate_directory_failure_keeps_earlier_scenarios(tmp_path, capsys):
     assert main(["simulate", "--config", str(configs), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "a.json: 5 txs, revert rate 0.800\n"
-    assert captured.err.startswith("error: config.horizon: ")
+    assert captured.err.startswith(f"error: {configs / 'b.json'}: config.horizon: ")
     assert sorted(p.name for p in (out / "a").iterdir()) == [
         "manifest.json", "metrics.json", "per_bot_profit.csv", "report.json", "revert_position_histogram.csv"
     ]
@@ -981,7 +991,7 @@ def test_analyze_trace_larger_than_a_read_buffer(tmp_path, fixtures_dir):
 # "--=x" (an abbreviation of every long option), and good and bad values
 ARGV_TOKENS = ["--quiet", "optimize", "simulate", "analyze", "--config", "--out", "--seed-override", "--traces",
                "--labels", "--records", "--min-bot-reverts", "-h", "--q", "--conf", "--", "--quiet=1", "--out=o",
-               "--=x", "", "x", "0", "abc"]
+               "--=x", "", "x", "0", "-1", "abc"]
 
 
 def parse_outcome(parse, argv):
@@ -1005,6 +1015,7 @@ def parse_outcome(parse, argv):
 @example(["optimize", "--config", "c", "--out", "o"])
 @example(["--quiet", "analyze", "--traces", "t", "--labels", "l", "--records", "r", "--min-bot-reverts", "3"])
 @example(["simulate", "--config", "c", "--=x"])
+@example(["simulate", "--config", "c", "--seed-override", "-1"])
 @example(["optimize", "--config", "c", "--quiet"])
 @example(["optimize", "-h"])
 @example(["-h"])

@@ -582,22 +582,25 @@ def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reve
     [
         # one (bot, size) order's reverts need not share a payout or a profit
         [reverted(0), reverted(1, payout=0.5), reverted(2, profit=-2.5), reverted(3, 0.5, -2.5), reverted(4)],
-        # a revert's payout and profit are key fields: encoded by json.dumps, whatever their value
+        # non-finite values in a revert's payout and profit
         [reverted(0, profit=math.nan), reverted(1, profit=math.inf), reverted(2, profit=-math.inf), reverted(3)],
         [reverted(0, payout=math.nan, profit=math.nan), reverted(1, payout=math.nan, profit=math.nan)],
-        # numpy scalars in a revert's key fields, and in its other fields
+        # numpy scalars in a revert's fields
         [reverted(0, np.float64(0.0), np.float64(-1.5)), reverted(1, 0.0, np.float64(-1e-7)), reverted(2)],
         [reverted(0, arrival=np.float64(0.1)), reverted(1, arrival=0.1)],
         [reverted(0, arrival=math.nan), reverted(1, arrival=-math.inf)],
         # successes and reverts interleaved, each status in its own template
         [reverted(0, 2.0, 0.5, status="success"), reverted(1), reverted(2, 1.0, -0.5, status="success"), reverted(3)],
-        # a status that is neither success nor reverted: every row through json.dumps
+        # a status that is neither success nor reverted, encoded by json.dumps like any other
         [reverted(0, status="pending"), reverted(1), reverted(2, 2.0, 0.5, status="success")],
         [reverted(0, status="success%s"), reverted(1, status='re"verted')],
         # no rows of one status, or none at all
         [reverted(0, 2.0, 0.5, status="success")],
         [reverted(0)],
         [],
+        # values of one order that compare equal but encode differently
+        [reverted(0, payout=0.0), reverted(1, payout=-0.0)],
+        [reverted(0, profit=-1.0), reverted(1, profit=-1)],
     ],
 )
 def test_to_json_of_hand_built_reports(rows):
