@@ -38,10 +38,9 @@ def require(cond: bool, path: str, msg: str):
 
 
 @functools.cache
-def _fields(cls) -> dict:  # name -> (type, required: no default of either kind), keyword-only fields last
+def _fields(cls) -> dict:  # name -> (type, required: no default of either kind)
     hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING)
-            for f in sorted(fields(cls), key=lambda f: f.kw_only)}
+    return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
 
 
 def _coerce(tp, value, path: str):

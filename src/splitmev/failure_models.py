@@ -14,7 +14,7 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,18 +52,13 @@ def _check_q(q, q_max=None):
 class FailureModel:
     """Base: success probability p(q) with closed-form derivative.
 
-    A family is a frozen dataclass subclass that defines ``_raw_and_slope``;
-    its own ``__post_init__``, if any, ends with ``super().__post_init__()``,
-    which checks the keyword-only ``floor``. ``prob`` and ``prob_derivative`` are
-    vectorized over q; a Python ``float`` q is checked and computed in plain
-    floats, with the same messages and a numpy scalar's results. The floor is
-    applied after the parametric form; the derivative is 0 wherever it binds.
+    A family is a frozen dataclass subclass that defines ``_raw_and_slope``
+    and checks its own fields, if any, in ``__post_init__``. ``prob`` and
+    ``prob_derivative`` are vectorized over q; a Python ``float`` q is checked
+    and computed in plain floats, with the same messages and a numpy scalar's
+    results. ``DEFAULT_FLOOR`` is applied after the parametric form; the
+    derivative is 0 wherever it binds.
     """
-
-    floor: float = field(default=DEFAULT_FLOOR, kw_only=True)
-
-    def __post_init__(self):
-        require(0.0 < self.floor <= 0.01, "floor", f"must lie in (0, 0.01], got {self.floor}")
 
     def _raw_and_slope(self, q):
         """The one kernel a family defines: the unfloored p(q) and p'(q), as plain
@@ -85,8 +80,8 @@ class FailureModel:
         caller has checked against the domain: the one place the floor is applied."""
         raw, slope = self._raw_and_slope(q)
         if type(q) is float:
-            return (raw, slope) if raw > self.floor else (self.floor, 0.0)
-        return np.maximum(raw, self.floor), np.where(raw > self.floor, slope, 0.0)
+            return (raw, slope) if raw > DEFAULT_FLOOR else (DEFAULT_FLOOR, 0.0)
+        return np.maximum(raw, DEFAULT_FLOOR), np.where(raw > DEFAULT_FLOOR, slope, 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,6 @@ class LinearClamped(FailureModel):
 
     def __post_init__(self):
         require(0 < self.slope < math.inf, "slope", "must be positive and finite")
-        super().__post_init__()
 
     def _raw_and_slope(self, q):
         # a float slope even from an int, as _as_output takes; np.where broadcasts it over an array q
@@ -121,7 +115,6 @@ class PowerConcave(FailureModel):
             scale = np.float64(self.q_max) ** self.alpha
         require(np.isfinite(scale), "q_max", "q_max**alpha overflows")
         require(scale >= sys.float_info.min, "q_max", "q_max**alpha underflows")  # the slope divides by it
-        super().__post_init__()
 
     def _raw_and_slope(self, q):
         # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
@@ -156,7 +149,6 @@ class QuadraticConcave(FailureModel):
     def __post_init__(self):
         require(0 <= self.a < math.inf, "a", "must be nonnegative and finite")
         require(0 <= self.b < math.inf and self.a + self.b > 0, "b", "must be nonnegative and finite, with a + b > 0")
-        super().__post_init__()
 
     def _raw_and_slope(self, q):
         return 1.0 - self.a * q - self.b * q * q, -(self.a + 2.0 * self.b * q)
@@ -177,13 +169,12 @@ class TableInterpolated(FailureModel):
 
     def __post_init__(self):
         qs, ps = np.asarray(self.qs, float), np.asarray(self.ps, float)
-        if qs.shape != ps.shape or qs.size < 2:
-            raise DomainError("need matching q/p samples, at least two points")
-        if qs[0] != 0.0 or ps[0] != 1.0:
-            raise DomainError("table must start at (0, 1)")
+        require(qs.ndim == 1 and qs.size >= 2, "qs", "must be a list of at least two points")
+        require(ps.shape == qs.shape, "ps", "must have as many points as qs")
+        require(qs[0] == 0.0, "qs", "must start at 0")
+        require(ps[0] == 1.0, "ps", "must start at 1")
         require(np.all(np.diff(qs) > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
         require(np.all(np.diff(ps) < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
-        super().__post_init__()
 
     def domain_max(self):
         return self.qs[-1]
@@ -220,9 +211,8 @@ _FAMILIES = {
 
 
 def from_config(family: str, parameters: dict) -> FailureModel:
-    """Build a model from the ``model`` section of a config, the floor among
-    its ``parameters``; errors are ``ConfigError`` naming the field under
-    ``config.model``."""
+    """Build a model from the ``model`` section of a config; errors are
+    ``ConfigError`` naming the field under ``config.model``."""
     require(family in _FAMILIES, "config.model.family", f"unknown {family!r}; known: {sorted(_FAMILIES)}")
     return build(_FAMILIES[family], parameters, "config.model.parameters")
 

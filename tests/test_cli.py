@@ -77,7 +77,7 @@ MALFORMED_CONFIGS = {
     "sim-huge-price": ("simulate", edited(SIM, cex_price=10**400), "config.cex_price"),
     "sim-bot-check": ("simulate", edited(SIM, bots=[edited(BOT, trade_size=0.0)]), "config.bots[0].trade_size"),
     "opt-pool-check": ("optimize", edited(OPT, pool=edited(OPT["pool"], reserve_x=0.0)), "config.pool"),
-    # the floor is a field of every family, set in model.parameters only
+    # the floor is the constant DEFAULT_FLOOR, not a config field
     "opt-model-floor": ("optimize", edited(OPT, model=edited(OPT["model"], floor=0.001)), "config.model.floor"),
     "opt-model-parameters-floor": (
         "optimize",
@@ -85,6 +85,19 @@ MALFORMED_CONFIGS = {
         "config.model.parameters.floor",
     ),
     "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
+    # a table's size, shape and start are checked before its first point is read
+    **{
+        f"opt-table-{name}": (
+            "optimize",
+            edited(OPT, model={"family": "table_interpolated", "parameters": {"qs": qs, "ps": ps}}),
+            f"config.model.parameters.{field}",
+        )
+        for name, qs, ps, field in [
+            ("one-point", [0.0], [1.0], "qs"),
+            ("short-ps", [0.0, 10.0], [1.0], "ps"),
+            ("bad-start", [0.0, 10.0], [0.9, 0.5], "ps"),
+        ]
+    },
     # the kernels divide by q_max**alpha, which a float's ** cannot raise to 1e15000
     "opt-power-overflow": (
         "optimize",
@@ -776,6 +789,9 @@ def run_records(case, out, configs_dir, scenarios_dir, fixtures_dir):
     }
 
 
+INDENTED_OUTPUT = {"optimize": "plan.json", "simulate": "metrics.json", "analyze": "priority_fee_distribution.json"}
+
+
 @pytest.mark.parametrize("quiet", [False, True], ids=["progress", "quiet"])
 @pytest.mark.parametrize("case", ["optimize", "simulate-file", "simulate-directory", "analyze"])
 def test_run_record(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, case, quiet):
@@ -789,6 +805,9 @@ def test_run_record(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, 
     assert sorted(out.rglob("manifest.json")) == sorted(directory / "manifest.json" for directory in expected)
     subcommand = argv[0]
     for directory, (inputs, digest, _) in expected.items():
+        # the other indented output, in the order written: re-sorting would put a histogram's "10" before "2"
+        raw = (directory / INDENTED_OUTPUT[subcommand]).read_bytes()
+        assert raw == (json.dumps(json.loads(raw), indent=2) + "\n").encode()
         raw = (directory / "manifest.json").read_bytes()
         manifest = json.loads(raw)
         assert raw == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()  # the bench digests skip manifests

@@ -42,7 +42,7 @@ def test_linear_clamped_values():
     assert m.prob(500) == pytest.approx(0.5, rel=1e-15)
     assert m.prob_derivative(500) == -0.001
     # beyond the clamp the floor binds and the slope is zero
-    assert m.prob(1e7) == m.floor
+    assert m.prob(1e7) == DEFAULT_FLOOR
     assert m.prob_derivative(1e7) == 0.0
     # a Python caller's int slope still gives a float for a float q
     d = LinearClamped(slope=1).prob_derivative(0.5)
@@ -94,7 +94,7 @@ def test_floor_keeps_prob_positive():
     for model in ALL_MODELS:
         hi = model.domain_max() or 1e6
         qs = np.linspace(0, hi, 500)
-        assert np.all(np.asarray(model.prob(qs)) >= model.floor)
+        assert np.all(np.asarray(model.prob(qs)) >= DEFAULT_FLOOR)
         assert np.all(np.asarray(model.prob(qs)) <= 1.0)
 
 
@@ -103,12 +103,14 @@ def test_invalid_constructions():
         LinearClamped(slope=0)
     with pytest.raises(DomainError):
         PowerConcave(q_max=100, alpha=0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):  # the floor is the constant DEFAULT_FLOOR, not a field
         LinearClamped(slope=0.1, floor=0.5)
     with pytest.raises(DomainError):
         TableInterpolated(qs=(0, 10), ps=(0.9, 0.5))  # must start at p=1
     with pytest.raises(DomainError):
         TableInterpolated(qs=(0, 10, 5), ps=(1.0, 0.8, 0.5))
+    with pytest.raises(DomainError):  # not a list of points, which np.asarray would take
+        TableInterpolated(qs=((0, 1), (2, 3)), ps=((1.0, 0.5), (0.4, 0.3)))
     with pytest.raises(DomainError):
         QuadraticConcave(a=0, b=0)
 
@@ -132,6 +134,11 @@ def test_validate_assumptions_pass_cases():
     passed = {"p(0)=1": None, "p'<0": None, "p''<=0": None}
     assert validate_assumptions(LinearClamped(slope=0.001), 0, 900, 101) == passed
     assert validate_assumptions(PowerConcave(q_max=1000, alpha=2), 0, 990, 101) == passed
+    # the grid's arguments are checked before the model is evaluated
+    for q_lo, q_hi, grid, message in [(5, 5, 101, "need 0 <= q_lo < q_hi"), (-1, 5, 101, "need 0 <= q_lo < q_hi"),
+                                      (0, 900, 2, "grid must be >= 3")]:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            validate_assumptions(LinearClamped(slope=0.001), q_lo, q_hi, grid)
 
 
 def test_validate_assumptions_convex_table_fails():
@@ -152,9 +159,9 @@ def test_validate_assumptions_reports_floor_region():
 
 
 def test_from_config():
-    m = from_config("power_concave", {"q_max": 100, "alpha": 2, "floor": 0.001})
-    assert isinstance(m, PowerConcave)
-    assert m.floor == 0.001
+    m = from_config("power_concave", {"q_max": 100, "alpha": 2})
+    assert m == PowerConcave(q_max=100.0, alpha=2.0)
+    assert m.prob(1e3) == DEFAULT_FLOOR
     m = from_config("table_interpolated", {"qs": [0, 10], "ps": [1.0, 0.5]})
     assert isinstance(m, TableInterpolated)
     with pytest.raises(DomainError):
@@ -164,11 +171,11 @@ def test_from_config():
 
 
 @pytest.mark.parametrize("parameters, message", [
-    # the family's own fields are named before the floor the base class declares
-    ({"slope": "x", "floor": "y"}, "slope: expected a number"),
-    ({"floor": "y"}, "slope: required"),
-    ({"slope": 0.001, "floor": 0.5}, "floor: must lie in (0, 0.01], got 0.5"),
-    ({"floor": 0.001}, "slope: required"),
+    ({"slope": "x"}, "slope: expected a number"),
+    ({}, "slope: required"),
+    # the floor is the constant DEFAULT_FLOOR; an unknown key is named before a bad value
+    ({"slope": "x", "floor": 0.001}, "floor: unknown field"),
+    ({"slope": 0.0}, "slope: must be positive and finite"),
 ])
 def test_from_config_names_the_first_bad_field(parameters, message):
     with pytest.raises(ConfigError) as info:
@@ -179,7 +186,7 @@ def test_from_config_names_the_first_bad_field(parameters, message):
 @dataclass(frozen=True)
 class KernelOnlyLinear(FailureModel):
     """A custom family that defines nothing but the kernel: LinearClamped's form.
-    The floor, its default and its check come from the base class."""
+    The check of q and the floor come from the base class."""
 
     slope: float
 
@@ -199,9 +206,8 @@ def test_custom_family_needs_only_the_kernel():
             assert bits(getattr(custom, method)(q)) == bits(getattr(linear, method)(q)), (method, q)
     pool, params = PoolState(1000.0, 2000.0, 0.0), ArbParams(100.0, 1.9, 1.0)
     assert repr(plan(pool, params, custom)) == repr(plan(pool, params, linear))
-    assert custom.floor == DEFAULT_FLOOR and KernelOnlyLinear(slope=0.001, floor=0.01).prob(5000.0) == 0.01
-    with pytest.raises(ConfigError, match=re.escape("floor: must lie in (0, 0.01], got 0.5")):
-        KernelOnlyLinear(slope=0.001, floor=0.5)
+    with pytest.raises(DomainError, match="q must be nonnegative and finite"):
+        custom.prob(-1.0)
 
 
 def test_constant_success_boundary_model():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitmev import (
+    DEFAULT_FLOOR,
     ArbParams,
     ConstantSuccess,
     DomainError,
@@ -62,7 +63,7 @@ def test_per_swap_profit_failure_branch_dominates():
     dy = swap_out(POOL, q)
     expected = -1.9 * q - 3.0 - 0.5
     assert per_swap_profit(POOL, params, model, q) == pytest.approx(
-        expected, abs=model.floor * (dy + 3.0) * 1.01
+        expected, abs=DEFAULT_FLOOR * (dy + 3.0) * 1.01
     )
 
 
@@ -197,28 +198,31 @@ def test_solve_chunk_checks_the_domain_at_total_size():
 def models_and_points(draw):
     """A failure model of any family and a q in its domain. For linear,
     power and quadratic models about half of the q lie where the floor
-    binds; a table's q is often a knot."""
-    floor = draw(st.sampled_from([1e-6, 0.01]))
+    binds; a table's q is often a knot, and its last p often at or below
+    the floor."""
     family = draw(st.sampled_from(["linear", "power", "quadratic", "table", "constant"]))
     if family == "linear":
-        model = LinearClamped(slope=draw(st.floats(1e-3, 10.0)), floor=floor)
+        model = LinearClamped(slope=draw(st.floats(1e-3, 10.0)))
         span = 2.0 / model.slope
     elif family == "power":
         alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
-        model = PowerConcave(q_max=draw(st.floats(1e-2, 1e4)), alpha=alpha, floor=floor)
+        model = PowerConcave(q_max=draw(st.floats(1e-2, 1e4)), alpha=alpha)
         span = 2.0 * model.q_max
     elif family == "quadratic":
-        model = QuadraticConcave(a=draw(st.floats(0.0, 1.0)), b=draw(st.floats(1e-3, 1.0)), floor=floor)
+        model = QuadraticConcave(a=draw(st.floats(0.0, 1.0)), b=draw(st.floats(1e-3, 1.0)))
         span = 2.0 * (math.sqrt(model.a**2 + 4.0 * model.b) - model.a) / (2.0 * model.b)
     elif family == "table":
         n = draw(st.integers(2, 6))
         steps = draw(st.lists(st.floats(1e-2, 1e3), min_size=n - 1, max_size=n - 1))
         drops = draw(st.lists(st.floats(0.0, 0.999), min_size=n - 1, max_size=n - 1, unique=True))
+        ps = (1.0, *sorted(drops, reverse=True))
+        if ps[-1] > DEFAULT_FLOOR and draw(st.booleans()):  # the floor binds at the last knot
+            ps = (*ps[:-1], draw(st.sampled_from([0.0, DEFAULT_FLOOR])))
         qs = tuple(float(q) for q in np.cumsum([0.0, *steps]))
-        model = TableInterpolated(qs=qs, ps=(1.0, *sorted(drops, reverse=True)), floor=floor)
+        model = TableInterpolated(qs=qs, ps=ps)
         return model, draw(st.one_of(st.sampled_from(qs), st.floats(0.0, qs[-1])))
     else:
-        model = from_config("constant", draw(st.sampled_from([{}, {"floor": floor}])))
+        model = from_config("constant", {})
         span = 1e6
     return model, draw(st.floats(0.0, span))
 
@@ -232,7 +236,7 @@ def models_and_points(draw):
 )
 @example(POOL, (LinearClamped(slope=0.01), 150.0), 1.9, 1.0, 0.0)  # floor binds
 @example(POOL, (FAMILIES["table"], 100.0), 1.9, 1.0, 2.0)  # interior knot
-@example(POOL, (TableInterpolated(qs=(0.0, 10.0), ps=(1.0, 0.01), floor=0.01), 10.0), 1.9, 1.0, 0.0)  # p == floor
+@example(POOL, (TableInterpolated(qs=(0.0, 10.0), ps=(1.0, DEFAULT_FLOOR)), 10.0), 1.9, 1.0, 0.0)  # p == floor
 @example(POOL, (PowerConcave(q_max=3.0, alpha=1.7), 0.1), 1.9, 0.0, 1.0)  # ** and np.power differ
 @example(POOL, (PowerConcave(q_max=7.5e-7, alpha=50.0), 7.5e-8), 1.9, 1.0, 0.0)  # q_max**alpha just above the normal minimum
 @example(PoolState(1e-200, 1.0), (LinearClamped(slope=1.0), 1e-190), 1.9, 1.0, 0.0)  # (x + q)**2 underflows
@@ -413,6 +417,8 @@ def test_splitting_dominates_single_swap_below_threshold():
 def test_brute_force_singleton_and_truncation():
     params = ArbParams(total_size=100, cex_price=1.9)
     assert brute_force_plan(POOL, params, P_ONE, 1).num_chunks == 1
+    with pytest.raises(DomainError, match="n_max must be >= 1"):
+        brute_force_plan(POOL, params, P_ONE, 0)
     # zero overhead: profit strictly rises with n, scan must flag truncation
     with pytest.warns(RuntimeWarning):
         bf = brute_force_plan(POOL, params, P_ONE, 50)
