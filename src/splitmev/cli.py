@@ -5,10 +5,11 @@ directory ``simulate``, into one subdirectory per scenario) and nowhere
 else, then yields each directory it filled. ``main`` is the only code that
 writes a ``manifest.json`` or prints a progress line. Every output file is
 UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
-config or schema error, an unreadable or non-UTF-8 input, or an unwritable
-output; 3 numerical anomaly (no interior root, a non-finite threshold or
-profit, a simulated arrival time with no finite block number, or a simulated
-profit that is not finite).
+config or schema error (a convex table, or a total size at which the success
+probability is at its floor), an unreadable or non-UTF-8 input, or an
+unwritable output; 3 numerical anomaly (no interior root, a non-finite
+threshold or profit, a simulated arrival time with no finite block number,
+or a simulated profit that is not finite).
 
 ``main`` parses an argv once: a subcommand's name, after an optional leading
 ``--quiet``, hands the rest to that subcommand's parser alone; any other argv,

@@ -1,11 +1,8 @@
 """Parametric swap-failure probability families.
 
-Every family satisfies p(0) = 1 and is weakly concave and strictly
-decreasing on its declared domain (before the probability floor binds),
-which is exactly what the trade-splitting optimality argument needs. An
-exponential-like decay (convex, p'' > 0) is deliberately not shipped as a
-parametric family, but can be built through ``TableInterpolated`` so that
-``validate_assumptions`` has a real failure case to detect.
+Every family satisfies p(0) = 1 and is weakly concave and decreasing on its
+declared domain (before the probability floor binds), as the trade-splitting
+optimality argument needs; a table's slopes are checked for it.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ __all__ = [
     "QuadraticConcave",
     "TableInterpolated",
     "ConstantSuccess",
-    "validate_assumptions",
     "DEFAULT_FLOOR",
 ]
 
@@ -156,12 +152,9 @@ class QuadraticConcave(FailureModel):
 
 @dataclass(frozen=True)
 class TableInterpolated(FailureModel):
-    """Monotone piecewise-linear interpolation of (q, p) samples.
-
-    The table must start at (0, 1) and be strictly decreasing in p; the
-    declared domain is [0, q[-1]]. Convex tables (e.g. sampled exponential
-    decay) are constructible on purpose: they violate p'' <= 0 and
-    ``validate_assumptions`` reports it.
+    """Concave piecewise-linear interpolation of (q, p) samples from (0, 1),
+    strictly decreasing in p, with slopes that do not increase beyond float
+    noise (a relative 1e-9); the declared domain is [0, q[-1]].
     """
 
     qs: tuple[float, ...]
@@ -173,8 +166,12 @@ class TableInterpolated(FailureModel):
         require(ps.shape == qs.shape, "ps", "must have as many points as qs")
         require(qs[0] == 0.0, "qs", "must start at 0")
         require(ps[0] == 1.0, "ps", "must start at 1")
-        require(np.all(np.diff(qs) > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
-        require(np.all(np.diff(ps) < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
+        dq, dp = np.diff(qs), np.diff(ps)
+        require(np.all(dq > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
+        require(np.all(dp < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
+        with np.errstate(over="ignore"):  # a slope past the float range is -inf, which still compares right
+            slopes = dp / dq
+        require((slopes[1:] <= slopes[:-1] * (1.0 - 1e-9)).all(), "ps", "must be concave: its slopes must not increase")
 
     def domain_max(self):
         return self.qs[-1]
@@ -216,30 +213,3 @@ def from_config(family: str, parameters: dict) -> FailureModel:
     require(family in _FAMILIES, "config.model.family", f"unknown {family!r}; known: {sorted(_FAMILIES)}")
     return build(_FAMILIES[family], parameters, "config.model.parameters")
 
-
-# Second differences of an exactly-linear table are float noise, not
-# genuine convexity; this absolute slack separates the two.
-_CURVATURE_TOL = 1e-9
-
-
-def validate_assumptions(model: FailureModel, q_lo: float, q_hi: float, grid: int) -> dict[str, float | None]:
-    """Grid check of the hypotheses the split optimizer relies on.
-
-    Checks p(0) = 1, p strictly decreasing, and p'' <= 0 via first/second
-    differences of ``prob`` on a uniform grid over [q_lo, q_hi]. Returns
-    ``{check name: first violating q, or None}``; violations are entries,
-    never exceptions.
-    """
-    if not (0 <= q_lo < q_hi):
-        raise DomainError("need 0 <= q_lo < q_hi")
-    if grid < 3:
-        raise DomainError("grid must be >= 3")
-    qs = np.linspace(q_lo, q_hi, grid)
-    ps = np.asarray(model.prob(qs))
-    bad1 = np.nonzero(np.diff(ps) >= 0)[0]
-    bad2 = np.nonzero(ps[2:] - 2.0 * ps[1:-1] + ps[:-2] > _CURVATURE_TOL)[0]
-    return {
-        "p(0)=1": None if model.prob(0.0) == 1.0 else 0.0,
-        "p'<0": float(qs[bad1[0]]) if bad1.size else None,
-        "p''<=0": float(qs[bad2[0] + 1]) if bad2.size else None,
-    }

@@ -6,13 +6,12 @@ probability p(q), and on failure strands the inventory at a liquidation
 penalty. The optimal chunk size is either the full size D (when overhead
 is at or above a computable threshold) or the unique root of a monotone
 residual on (0, D); the chunk count is the ceiling of D over that root.
+Both need p(0) = 1, p' < 0 and p'' <= 0 on [0, D], so a floored p(D) is refused.
 
 Array q and n broadcast; a Python ``float`` q or ``int`` n is checked and
 computed in plain floats, with the same checks, messages and a numpy scalar's results.
 
-A brute-force integer scan over n is provided as an independent oracle;
-the ceiling rule can be off by one against the true integer optimum, and
-the oracle makes that checkable.
+``brute_force_plan``, a scan over every n, is the independent oracle for ``plan``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .amm_core import DomainError, PoolState, _as_output, marginal_out, swap_out
 from .amm_core import marginal_out_unchecked, swap_out_unchecked
 from .config import require
-from .failure_models import FailureModel
+from .failure_models import DEFAULT_FLOOR, FailureModel
 
 __all__ = [
     "ArbParams",
@@ -115,12 +114,19 @@ def marginal_benefit(pool: PoolState, params: ArbParams, model: FailureModel, q)
 
 def threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
     """Overhead level above which a single full-size swap is optimal."""
-    d = params.total_size
-    phi = params.liquidation_penalty
+    d, phi = params.total_size, params.liquidation_penalty
     m_d = marginal_benefit(pool, params, model, d)
-    return float(
-        model.prob(d) * (swap_out(pool, d) + phi) - phi - d * (m_d + params.cex_price)
-    )
+    return float(model.prob(d) * (swap_out(pool, d) + phi) - phi - d * (m_d + params.cex_price))
+
+
+def _plan_threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
+    """``threshold``, checked as ``plan`` needs it: finite, and with p(D) above the floor."""
+    theta = threshold(pool, params, model)
+    if not math.isfinite(theta):
+        raise NoRootError(f"threshold is {theta}: the pool's arithmetic has left the float range")
+    if model.prob(params.total_size) <= DEFAULT_FLOOR:
+        raise DomainError(f"total_size {params.total_size}: the success probability is at its floor there")
+    return theta
 
 
 def _residual_unchecked(pool: PoolState, params: ArbParams, model: FailureModel, q: float):
@@ -150,17 +156,14 @@ def solve_chunk(
     positive. Bisection takes geometric midpoints while the bracket spans
     more than a factor of 4, then arithmetic ones (about 36 steps), on the
     unchecked plain-float kernels: ``threshold`` has checked the inputs at
-    q = D, which covers every q in (0, D]. A caller that has already
-    computed ``threshold(pool, params, model)``, as ``plan`` has, passes it
-    as ``theta``.
+    q = D, which covers every q in (0, D]. Without ``theta`` the threshold
+    is checked as ``plan`` checks it; ``plan`` passes its own as ``theta``.
     """
     d = params.total_size
     if theta is None:
-        theta = threshold(pool, params, model)
+        theta = _plan_threshold(pool, params, model)
     if params.gas_overhead >= theta:
-        raise DomainError(
-            f"overhead {params.gas_overhead} >= threshold {theta}: single swap is optimal"
-        )
+        raise DomainError(f"overhead {params.gas_overhead} >= threshold {theta}: single swap is optimal")
 
     lo, hi = d * 1e-9, d
     if _residual_unchecked(pool, params, model, lo)[0] <= 0.0:
@@ -198,10 +201,9 @@ def plan(pool: PoolState, params: ArbParams, model: FailureModel) -> SplitPlan:
     ceil(D/q*) and ceil(D/q*)-1).
 
     The branch field reports the overhead-vs-threshold dichotomy; near the
-    threshold the interior branch can still land on a single chunk."""
-    theta = threshold(pool, params, model)
-    if not math.isfinite(theta):
-        raise NoRootError(f"threshold is {theta}: the pool's arithmetic has left the float range")
+    threshold the interior branch can still land on a single chunk. A p(D) at
+    the floor, where p stops decreasing, raises ``DomainError``."""
+    theta = _plan_threshold(pool, params, model)
     if params.gas_overhead >= theta:
         n_star, profit, branch = 1, float(per_swap_profit(pool, params, model, params.total_size)), "single_swap"
     else:

@@ -85,6 +85,13 @@ MALFORMED_CONFIGS = {
         "config.model.parameters.floor",
     ),
     "opt-table-check": ("optimize", edited(OPT, model=TABLE_NOT_INCREASING), "config.model.parameters.qs"),
+    # a convex table (exponential decay sampled at 0, 25, ..., 500): p'' <= 0 fails
+    "opt-table-convex": (
+        "optimize",
+        edited(OPT, model={"family": "table_interpolated", "parameters": {
+            "qs": [25.0 * k for k in range(21)], "ps": [math.exp(-0.25 * k) for k in range(21)]}}),
+        "config.model.parameters.ps",
+    ),
     # a table's size, shape and start are checked before its first point is read
     **{
         f"opt-table-{name}": (
@@ -242,17 +249,17 @@ def test_optimize_non_finite_profit_exit_code(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy overflow warning
 def test_optimize_power_overflow_where_floor_binds(tmp_path, capsys):
     # (q / q_max)**400 overflows for q above about 5.9, where p is the floor:
-    # a silent, ordinary single-swap plan
+    # a total size there is refused: plan's rules would give one swap at
+    # -19.01 where 11 chunks give +0.87
     cfg = edited(
         OPT,
         params=edited(OPT["params"], total_size=10.0, gas_overhead=0.01),
         model={"family": "power_concave", "parameters": {"q_max": 1.0, "alpha": 400.0}},
     )
     out = tmp_path / "o"
-    assert main(["--quiet", "optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    plan = json.loads((out / "plan.json").read_text())
-    assert (plan["branch"], plan["num_chunks"], plan["chunk_size"]) == ("single_swap", 1, 10.0)
+    assert main(["--quiet", "optimize", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: total_size 10.0: the success probability is at its floor there\n"
+    assert list(out.iterdir()) == []
 
 
 def test_optimize_table_shorter_than_total_size(tmp_path, capsys):

@@ -18,7 +18,6 @@ from splitmev import (
     QuadraticConcave,
     TableInterpolated,
     plan,
-    validate_assumptions,
 )
 from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
@@ -28,7 +27,7 @@ ALL_MODELS = [
     PowerConcave(q_max=1000, alpha=2),
     PowerConcave(q_max=500, alpha=1.5),
     QuadraticConcave(a=1e-4, b=1e-7),
-    TableInterpolated(qs=(0, 100, 500, 1000), ps=(1.0, 0.9, 0.5, 0.05)),
+    TableInterpolated(qs=(0, 100, 500, 1000), ps=(1.0, 0.95, 0.6, 0.05)),
 ]
 
 
@@ -130,32 +129,31 @@ def test_derivative_matches_finite_differences():
         np.testing.assert_allclose(np.asarray(model.prob_derivative(qs)), fd, rtol=1e-6, atol=1e-12)
 
 
-def test_validate_assumptions_pass_cases():
-    passed = {"p(0)=1": None, "p'<0": None, "p''<=0": None}
-    assert validate_assumptions(LinearClamped(slope=0.001), 0, 900, 101) == passed
-    assert validate_assumptions(PowerConcave(q_max=1000, alpha=2), 0, 990, 101) == passed
-    # the grid's arguments are checked before the model is evaluated
-    for q_lo, q_hi, grid, message in [(5, 5, 101, "need 0 <= q_lo < q_hi"), (-1, 5, 101, "need 0 <= q_lo < q_hi"),
-                                      (0, 900, 2, "grid must be >= 3")]:
-        with pytest.raises(DomainError, match=re.escape(message)):
-            validate_assumptions(LinearClamped(slope=0.001), q_lo, q_hi, grid)
+def test_linear_table_is_concave():
+    # an exactly linear table's slopes differ by float noise alone, which the check allows
+    qs = tuple(np.linspace(0.0, 1000.0, 101))
+    ps = tuple(np.linspace(1.0, 0.01, 101))
+    slopes = np.diff(ps) / np.diff(qs)
+    assert slopes.max() != slopes.min()  # the noise is there
+    assert TableInterpolated(qs=qs, ps=ps).prob(500.0) == pytest.approx(0.505)
 
 
-def test_validate_assumptions_convex_table_fails():
-    # exponential decay sampled into a table: convex, so p'' <= 0 must fail
-    lam = 0.01
-    qs = tuple(np.linspace(0, 500, 21))
-    ps = tuple(math.exp(-lam * q) for q in qs)
-    report = validate_assumptions(TableInterpolated(qs=qs, ps=ps), 0, 500, 21)
-    assert report["p''<=0"] == 25.0  # the first interior knot
-    assert report["p(0)=1"] is None
-    assert report["p'<0"] is None
-
-
-def test_validate_assumptions_reports_floor_region():
-    # on a range where the floor binds, p stops decreasing
-    report = validate_assumptions(LinearClamped(slope=0.001), 0, 5000, 51)
-    assert report["p'<0"] == 1000.0  # p reaches the floor at q = 1 / slope
+def test_convex_table_is_rejected():
+    # exponential decay sampled into a table is convex: each segment less steep than the one before
+    qs = [float(q) for q in np.linspace(0, 500, 21)]
+    ps = [math.exp(-0.01 * q) for q in qs]
+    with pytest.raises(ConfigError, match=r"^ps: must be concave"):
+        TableInterpolated(qs=tuple(qs), ps=tuple(ps))
+    with pytest.raises(ConfigError, match=r"^config\.model\.parameters\.ps: must be concave"):
+        from_config("table_interpolated", {"qs": qs, "ps": ps})
+    # one knot bent up by more than the float-noise slack is enough
+    with pytest.raises(ConfigError, match=r"^ps: must be concave"):
+        TableInterpolated(qs=(0.0, 100.0, 200.0), ps=(1.0, 0.5, 0.5 - 0.5 * (1.0 - 1e-6)))
+    # slopes past the float range (-inf) compare without a warning: -inf then -0.5 is convex,
+    # -inf then -inf is not
+    with pytest.raises(ConfigError, match=r"^ps: must be concave"):
+        TableInterpolated(qs=(0.0, 1e-320, 1.0), ps=(1.0, 0.5, 0.0))
+    TableInterpolated(qs=(0.0, 1e-310, 2e-310), ps=(1.0, 0.9, 0.5))
 
 
 def test_from_config():

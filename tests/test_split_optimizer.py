@@ -29,6 +29,7 @@ from splitmev import (
     total_profit,
 )
 from splitmev.amm_core import marginal_out_unchecked, swap_out_unchecked
+from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
 from splitmev.split_optimizer import _residual_unchecked, profit_curve
 
@@ -195,11 +196,28 @@ def test_solve_chunk_checks_the_domain_at_total_size():
 
 
 @st.composite
+def concave_tables(draw, q_end):
+    """A concave table over [0, q_end] of 2 to 6 knots: each segment is 1 to 10
+    times as steep as the one before. Its last p is at or below the floor in
+    about two thirds of the draws, above it in the rest."""
+    n = draw(st.integers(2, 6))
+    steps = np.array(draw(st.lists(st.floats(1e-2, 1.0), min_size=n - 1, max_size=n - 1)))
+    drops = np.cumprod(draw(st.lists(st.floats(1.0, 10.0), min_size=n - 1, max_size=n - 1))) * steps
+    end = draw(st.one_of(st.sampled_from([0.0, DEFAULT_FLOOR]), st.floats(-1.0, 0.0), st.floats(1e-3, 0.999)))
+    qs = (0.0, *(float(q) for q in np.cumsum(steps)[:-1] * (q_end / steps.sum())), q_end)
+    ps = (1.0, *(float(p) for p in 1.0 - (1.0 - end) * np.cumsum(drops)[:-1] / drops.sum()), end)
+    try:
+        return TableInterpolated(qs=qs, ps=ps)
+    except ConfigError:  # rounding tipped two segments of one slope apart, or merged two knots
+        assume(False)
+
+
+@st.composite
 def models_and_points(draw):
     """A failure model of any family and a q in its domain. For linear,
     power and quadratic models about half of the q lie where the floor
-    binds; a table's q is often a knot, and its last p often at or below
-    the floor."""
+    binds; a table is concave, its q is often a knot, and its last p often
+    at or below the floor."""
     family = draw(st.sampled_from(["linear", "power", "quadratic", "table", "constant"]))
     if family == "linear":
         model = LinearClamped(slope=draw(st.floats(1e-3, 10.0)))
@@ -212,15 +230,8 @@ def models_and_points(draw):
         model = QuadraticConcave(a=draw(st.floats(0.0, 1.0)), b=draw(st.floats(1e-3, 1.0)))
         span = 2.0 * (math.sqrt(model.a**2 + 4.0 * model.b) - model.a) / (2.0 * model.b)
     elif family == "table":
-        n = draw(st.integers(2, 6))
-        steps = draw(st.lists(st.floats(1e-2, 1e3), min_size=n - 1, max_size=n - 1))
-        drops = draw(st.lists(st.floats(0.0, 0.999), min_size=n - 1, max_size=n - 1, unique=True))
-        ps = (1.0, *sorted(drops, reverse=True))
-        if ps[-1] > DEFAULT_FLOOR and draw(st.booleans()):  # the floor binds at the last knot
-            ps = (*ps[:-1], draw(st.sampled_from([0.0, DEFAULT_FLOOR])))
-        qs = tuple(float(q) for q in np.cumsum([0.0, *steps]))
-        model = TableInterpolated(qs=qs, ps=ps)
-        return model, draw(st.one_of(st.sampled_from(qs), st.floats(0.0, qs[-1])))
+        model = draw(concave_tables(draw(st.floats(1e-2, 5e3))))
+        return model, draw(st.one_of(st.sampled_from(model.qs), st.floats(0.0, model.qs[-1])))
     else:
         model = from_config("constant", {})
         span = 1e6
@@ -402,6 +413,91 @@ def test_plan_matches_brute_force_on_random_instances():
         assert result.expected_total_profit >= bf.expected_total_profit - 1e-6 * (
             1 + abs(bf.expected_total_profit)
         )
+
+
+@given(pools, st.floats(0.001, 0.5), st.floats(1.0, 3.0), st.floats(0.8, 1.2), st.floats(0.0, 2.0),
+       st.floats(0.0, 2.0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_plan_matches_brute_force_on_concave_tables(pool, size, stretch, price, phi_share, gas_share, data):
+    # random_instance's draws, with a concave table over [0, stretch * D]: plan
+    # within one chunk of the oracle and no less profitable, or refused where
+    # the floor binds at D
+    d = pool.reserve_x * size
+    table = data.draw(concave_tables(d * stretch))
+    cex_price = pool.reserve_y / pool.reserve_x * price
+    theta0 = threshold(pool, ArbParams(d, cex_price), table)
+    assume(theta0 > 0)
+    theta = threshold(pool, ArbParams(d, cex_price, 0.0, phi_share * theta0), table)
+    assume(theta > 0)
+    params = ArbParams(d, cex_price, gas_share * theta, phi_share * theta0)
+    if table.prob(d) <= DEFAULT_FLOOR:
+        with pytest.raises(DomainError, match="total_size"):
+            plan(pool, params, table)
+        return
+    try:
+        result = plan(pool, params, table)
+    except NoRootError:  # an overhead too small for the residual at D * 1e-9
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bf = brute_force_plan(pool, params, table, 1000)
+    assume(not bf.truncated)
+    assert bf.num_chunks in (result.num_chunks - 1, result.num_chunks, result.num_chunks + 1)
+    assert result.expected_total_profit >= bf.expected_total_profit - 1e-6 * (1 + abs(bf.expected_total_profit))
+
+
+WORKED = PoolState(1000.0, 2000.0, 0.003)
+FLOORED_AT_D = {  # (model, D): p(D) is the floor
+    "linear-at-reach": (LinearClamped(slope=0.01), 100.0),
+    "linear-beyond": (LinearClamped(slope=0.01), 150.0),
+    "power": (PowerConcave(q_max=100.0), 100.0),
+    "quadratic": (QuadraticConcave(a=0.0, b=1e-4), 100.0),
+    "table-ends-at-0": (TableInterpolated(qs=(0.0, 100.0), ps=(1.0, 0.0)), 100.0),
+}
+
+
+@pytest.mark.parametrize("model, d", FLOORED_AT_D.values(), ids=FLOORED_AT_D)
+def test_plan_refuses_a_floored_total_size(model, d):
+    # p is flat at the floor just below D, so the threshold test and ceil(D/q*) do not hold:
+    # on LinearClamped(0.01) at D = 100 they would give one swap at -190.05 where 66 give +2.78
+    params = ArbParams(d, 1.9, 0.05)
+    message = re.escape(f"total_size {d}: the success probability is at its floor there")
+    for solve in (plan, solve_chunk):
+        with pytest.raises(DomainError, match=message):
+            solve(WORKED, params, model)
+    # the kernels and the oracle still evaluate there
+    assert math.isfinite(threshold(WORKED, params, model))
+    assert per_swap_profit(WORKED, params, model, d) < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert brute_force_plan(WORKED, params, model, 1000).expected_total_profit > 0
+
+
+def test_plan_accepts_p_just_above_the_floor():
+    # a table that ends at p = 0.01: the oracle's 66 chunks
+    table, params = TableInterpolated(qs=(0.0, 100.0), ps=(1.0, 0.01)), ArbParams(100.0, 1.9, 0.05)
+    result = plan(WORKED, params, table)
+    bf = brute_force_plan(WORKED, params, table, 1000)
+    assert (result.branch, result.num_chunks) == ("interior_root", 66)
+    assert result.expected_total_profit == pytest.approx(bf.expected_total_profit, rel=1e-12)
+    assert bf.num_chunks == 66
+
+
+def test_solve_chunk_checks_as_plan_does():
+    # without theta, solve_chunk runs plan's entry checks in plan's order: threshold's own
+    # (the domain at D), a finite threshold, then p(D) above the floor
+    cases = [
+        (POOL, ArbParams(100.0, 1.9, 1.0), SHORT_TABLE, DomainError, "outside declared domain"),
+        (PoolState(1e-200, 1e-200, 0.003), ArbParams(1e-300, 1.0), LinearClamped(slope=1.0), NoRootError,
+         "threshold is nan"),  # solve_chunk returned a root of 1e-309 here
+        (PoolState(1e-200, 1.0, 0.003), ArbParams(1e-300, 1.0), LinearClamped(slope=1.0), NoRootError,
+         "threshold is -inf"),
+        (POOL, ArbParams(200.0, 1.9, 1.0), LinearClamped(slope=0.01), DomainError, "at its floor"),
+    ]
+    for pool, params, model, error, message in cases:
+        for solve in (plan, solve_chunk):
+            with pytest.raises(error, match=message):
+                solve(pool, params, model)
 
 
 def test_splitting_dominates_single_swap_below_threshold():
