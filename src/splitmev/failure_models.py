@@ -2,7 +2,8 @@
 
 Every family satisfies p(0) = 1 and is weakly concave and decreasing on its
 declared domain (before the probability floor binds), as the trade-splitting
-optimality argument needs; a table's slopes are checked for it.
+optimality argument needs; a table's slopes are checked for it. A model is
+evaluated at one real q at a time, in plain floats.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amm_core import DomainError, _as_output
+from .amm_core import DomainError
 from .config import build, require
 
 __all__ = [
@@ -31,15 +31,12 @@ __all__ = [
 DEFAULT_FLOOR = 1e-6
 
 
-def _check_q(q, q_max=None):
-    """Check q and return it: a ``float`` as is, anything else as an array, checked at its ends."""
-    lo = hi = q
-    if type(q) is not float:
-        q = np.asarray(q, dtype=float)
-        lo, hi = q.min(initial=math.inf), q.max(initial=-math.inf)
-    if not (lo >= 0.0 and hi < math.inf):
+def _check_q(q, q_max=None) -> float:
+    """``float(q)``, checked: nonnegative, finite, and at most ``q_max`` if given."""
+    q = float(q)
+    if not (q >= 0.0 and q < math.inf):
         raise DomainError("q must be nonnegative and finite")
-    if q_max is not None and hi > q_max:
+    if q_max is not None and q > q_max:
         raise DomainError(f"q outside declared domain [0, {q_max}]")
     return q
 
@@ -50,34 +47,32 @@ class FailureModel:
 
     A family is a frozen dataclass subclass that defines ``_raw_and_slope``
     and checks its own fields, if any, in ``__post_init__``. ``prob`` and
-    ``prob_derivative`` are vectorized over q; a Python ``float`` q is checked
-    and computed in plain floats, with the same messages and a numpy scalar's
-    results. ``DEFAULT_FLOOR`` is applied after the parametric form; the
-    derivative is 0 wherever it binds.
+    ``prob_derivative`` take one real q, convert it with ``float`` and check
+    it against the declared domain. ``DEFAULT_FLOOR`` is applied after the
+    parametric form; the derivative is 0 wherever it binds.
     """
 
-    def _raw_and_slope(self, q):
-        """The one kernel a family defines: the unfloored p(q) and p'(q), as plain
-        floats for a ``float`` q, as arrays (or a scalar slope) for an array q."""
+    def _raw_and_slope(self, q: float) -> tuple[float, float]:
+        """The one kernel a family defines: the unfloored p(q) and p'(q) at a
+        checked float q, as floats. Where the floor binds, any p at or below
+        it will do, and the slope is not used."""
         raise NotImplementedError
 
     def domain_max(self) -> float | None:
         """Upper end of the declared domain, or None if unbounded."""
         return None
 
-    def prob(self, q):
-        return _as_output(self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[0])
+    def prob(self, q) -> float:
+        return self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[0]
 
-    def prob_derivative(self, q):
-        return _as_output(self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[1])
+    def prob_derivative(self, q) -> float:
+        return self.prob_and_slope_unchecked(_check_q(q, self.domain_max()))[1]
 
-    def prob_and_slope_unchecked(self, q):
-        """``prob(q)`` and ``prob_derivative(q)`` at a float or an array q that the
-        caller has checked against the domain: the one place the floor is applied."""
+    def prob_and_slope_unchecked(self, q: float) -> tuple[float, float]:
+        """``prob(q)`` and ``prob_derivative(q)`` at a float q that the caller has
+        checked against the domain: the one place the floor is applied."""
         raw, slope = self._raw_and_slope(q)
-        if type(q) is float:
-            return (raw, slope) if raw > DEFAULT_FLOOR else (DEFAULT_FLOOR, 0.0)
-        return np.maximum(raw, DEFAULT_FLOOR), np.where(raw > DEFAULT_FLOOR, slope, 0.0)
+        return (raw, slope) if raw > DEFAULT_FLOOR else (DEFAULT_FLOOR, 0.0)
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,7 @@ class LinearClamped(FailureModel):
         require(0 < self.slope < math.inf, "slope", "must be positive and finite")
 
     def _raw_and_slope(self, q):
-        # a float slope even from an int, as _as_output takes; np.where broadcasts it over an array q
-        return 1.0 - self.slope * q, -float(self.slope)
+        return 1.0 - self.slope * q, -float(self.slope)  # a float slope even from an int
 
 
 @dataclass(frozen=True)
@@ -107,32 +101,20 @@ class PowerConcave(FailureModel):
     def __post_init__(self):
         require(0 < self.q_max < math.inf, "q_max", "must be positive and finite")
         require(1.0 <= self.alpha < math.inf, "alpha", "must be finite and >= 1 for concavity")
-        with np.errstate(over="ignore"):  # the kernels divide by q_max**alpha; a float's ** would raise
+        with np.errstate(over="ignore"):  # a float's ** would raise OverflowError
             scale = np.float64(self.q_max) ** self.alpha
         require(np.isfinite(scale), "q_max", "q_max**alpha overflows")
         require(scale >= sys.float_info.min, "q_max", "q_max**alpha underflows")  # the slope divides by it
 
     def _raw_and_slope(self, q):
-        # a float q: raw by a numpy scalar's ** (a float's ** raises OverflowError),
-        # the slope by np.power, as the array path's vectorized pow can differ from **.
-        # Where (q / q_max)**alpha overflows, raw is -inf and the floor binds. A float q <= q_max
-        # skips np.errstate, dearer than the kernel: no power overflows there, as __post_init__
-        # checks that q_max**alpha is a finite normal float
-        scale = self.q_max**self.alpha
-        quiet = type(q) is not float or q > self.q_max
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore") if quiet else nullcontext():
-            if type(q) is float:
-                raw = float(1.0 - np.float64(q / self.q_max) ** self.alpha)
-                if q > 0.0:
-                    return raw, -self.alpha * float(np.power(q, self.alpha - 1.0)) / scale
-            else:
-                raw = 1.0 - (q / self.q_max) ** self.alpha
-            # an array q, or q = 0
-            d = -self.alpha * np.where(q > 0, q, 1.0) ** (self.alpha - 1.0) / scale
-        # q=0 with alpha>1 has zero slope; alpha==1 has constant slope
-        if self.alpha > 1.0:
-            d = np.where(q > 0, d, 0.0)
-        return raw, (float(d) if type(q) is float else d)
+        # Above q_max, p <= 0 and the floor binds, and a power can overflow. At or below it
+        # none does: __post_init__ checks that q_max**alpha is a finite normal float. The slope
+        # keeps np.power, whose bits plan.json's threshold_value holds: a float's ** differs from
+        # it in the last bit in about 5% of cases.
+        if q > self.q_max:
+            return -math.inf, 0.0
+        slope = -self.alpha * float(np.power(q, self.alpha - 1.0)) / self.q_max**self.alpha
+        return 1.0 - (q / self.q_max) ** self.alpha, slope
 
 
 @dataclass(frozen=True)
@@ -177,10 +159,6 @@ class TableInterpolated(FailureModel):
         return self.qs[-1]
 
     def _raw_and_slope(self, q):
-        if type(q) is not float:
-            qs, ps = np.asarray(self.qs), np.asarray(self.ps)
-            idx = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, qs.size - 2)
-            return np.interp(q, self.qs, self.ps), (ps[idx + 1] - ps[idx]) / (qs[idx + 1] - qs[idx])
         # np.interp's formula slope * (q - qs[i]) + ps[i], with qs[i] <= q the
         # knot at or below q; at the last knot the slope is the last segment's
         qs, ps = self.qs, self.ps
@@ -195,7 +173,7 @@ class ConstantSuccess(FailureModel):
     """p(q) = 1 everywhere; lies on the boundary of the admissible class."""
 
     def _raw_and_slope(self, q):
-        return 1.0 - 0.0 * q, 0.0 * q  # floats for a float q, arrays for an array
+        return 1.0, 0.0
 
 
 _FAMILIES = {

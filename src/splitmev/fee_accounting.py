@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .config import _fields
 
@@ -147,16 +146,24 @@ def priority_fee_distribution(records: list[TxRecord]) -> dict:
     zero, share paying exactly 1 wei, and the quartiles, 0.9 and 0.99
     quantiles. The quantiles are float64, not integer wei: above 2**53 wei
     they round."""
-    fees = [r.priority_fee_per_gas for r in records if r.reverted]
+    fees = sorted(r.priority_fee_per_gas for r in records if r.reverted)
     if not fees:
         return {"count": 0, "zero_fee_share": 0.0, "one_wei_share": 0.0, "quantiles": {}}
-    arr = np.asarray(fees)
     return {
         "count": len(fees),
-        "zero_fee_share": float(np.mean(arr == 0)),
-        "one_wei_share": float(np.mean(arr == 1)),
-        "quantiles": {q: float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75, 0.9, 0.99)},
+        "zero_fee_share": fees.count(0) / len(fees),
+        "one_wei_share": fees.count(1) / len(fees),
+        "quantiles": {q: _quantile(fees, q) for q in (0.25, 0.5, 0.75, 0.9, 0.99)},
     }
+
+
+def _quantile(xs: list[int], q: float) -> float:
+    """``np.quantile(xs, q)`` of sorted ints, bit for bit: numpy's linear rule, which
+    interpolates down from the upper neighbour when t >= 0.5."""
+    vi = (len(xs) - 1) * q
+    lo = math.floor(vi)
+    a, b, t = xs[lo], xs[min(lo + 1, len(xs) - 1)], vi - lo
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # the parser of each CSV cell whose field is not a str

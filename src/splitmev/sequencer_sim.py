@@ -177,12 +177,13 @@ class SimReport:
         ``run``'s (bot, size) orders and status do, share a template, so 0.0
         and -0.0, or 1 and 1.0, are written as the first row has them
         (``run`` never mixes them within an order). ``%r`` writes an int or
-        a finite float as ``json.dumps`` does. A sum of the other fields
-        that is not a finite ``float`` (an infinite, NaN or numpy value)
-        sends every row through ``json.dumps``."""
+        a finite float as ``json.dumps`` does. A value field of another type
+        (a bool or a numpy value), or value fields whose sum is not a finite
+        ``float`` (an infinite or NaN value), send every row through ``json.dumps``."""
         keys = list(map(_ROW_KEY, self.outcomes))
         values = list(map(_ROW_VALUES, self.outcomes))
-        if type(total := sum(chain.from_iterable(values))) is float and math.isfinite(total):
+        numbers = {*map(type, chain.from_iterable(values))} <= {int, float}  # no bool, no numpy value
+        if numbers and type(total := sum(chain.from_iterable(values))) is float and math.isfinite(total):
             templates = {key: _row_template(key) for key in set(keys)}
             rows = ",".join(map(str.__mod__, map(templates.__getitem__, keys), values))
         else:

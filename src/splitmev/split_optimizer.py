@@ -8,21 +8,20 @@ is at or above a computable threshold) or the unique root of a monotone
 residual on (0, D); the chunk count is the ceiling of D over that root.
 Both need p(0) = 1, p' < 0 and p'' <= 0 on [0, D], so a floored p(D) is refused.
 
-Array q and n broadcast; a Python ``float`` q or ``int`` n is checked and
-computed in plain floats, with the same checks, messages and a numpy scalar's results.
-
-``brute_force_plan``, a scan over every n, is the independent oracle for ``plan``.
+Each function takes one real q (or one count n), checks it and computes in
+plain floats. The root solve and the profit curve check their inputs once
+and then run the unchecked kernels. ``brute_force_plan``, the argmax of the
+profit curve over every n, is the independent oracle for ``plan``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .amm_core import DomainError, PoolState, _as_output, marginal_out, swap_out
+from .amm_core import DomainError, PoolState, marginal_out, swap_out
 from .amm_core import marginal_out_unchecked, swap_out_unchecked
 from .config import require
 from .failure_models import DEFAULT_FLOOR, FailureModel
@@ -76,18 +75,15 @@ class SplitPlan:
     truncated: bool = False
 
 
-def _check_chunk(params: ArbParams, q):
-    """Check q and return it: a ``float`` as is, anything else as an array, checked at its ends."""
-    lo = hi = q
-    if type(q) is not float:
-        q = np.asarray(q, dtype=float)
-        lo, hi = q.min(initial=math.inf), q.max(initial=-math.inf)
-    if not (0.0 < lo and hi <= params.total_size):
+def _check_chunk(params: ArbParams, q) -> float:
+    """``float(q)``, checked to lie in (0, D]."""
+    q = float(q)
+    if not (0.0 < q <= params.total_size):
         raise DomainError(f"chunk size must lie in (0, {params.total_size}]")
     return q
 
 
-def per_swap_profit(pool: PoolState, params: ArbParams, model: FailureModel, q):
+def per_swap_profit(pool: PoolState, params: ArbParams, model: FailureModel, q) -> float:
     """Expected profit of one attempted swap of size q (pool held fixed).
 
     Success pays the AMM output net of the CEX cost; failure still pays the
@@ -95,7 +91,7 @@ def per_swap_profit(pool: PoolState, params: ArbParams, model: FailureModel, q):
     overhead is sunk either way.
     """
     q = _check_chunk(params, q)
-    return _as_output(_expected_profit(params, model.prob(q), swap_out(pool, q), q))
+    return _expected_profit(params, model.prob(q), swap_out(pool, q), q)
 
 
 def _expected_profit(params: ArbParams, p, dy, q):
@@ -103,20 +99,19 @@ def _expected_profit(params: ArbParams, p, dy, q):
     return p * dy - params.cex_price * q - (1.0 - p) * params.liquidation_penalty - params.gas_overhead
 
 
-def marginal_benefit(pool: PoolState, params: ArbParams, model: FailureModel, q):
+def marginal_benefit(pool: PoolState, params: ArbParams, model: FailureModel, q) -> float:
     """Derivative of per_swap_profit in q; strictly decreasing for
     admissible failure models."""
     q = _check_chunk(params, q)
     p, dp = model.prob(q), model.prob_derivative(q)
-    out = dp * (swap_out(pool, q) + params.liquidation_penalty) + p * marginal_out(pool, q) - params.cex_price
-    return _as_output(out)
+    return dp * (swap_out(pool, q) + params.liquidation_penalty) + p * marginal_out(pool, q) - params.cex_price
 
 
 def threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
     """Overhead level above which a single full-size swap is optimal."""
     d, phi = params.total_size, params.liquidation_penalty
     m_d = marginal_benefit(pool, params, model, d)
-    return float(model.prob(d) * (swap_out(pool, d) + phi) - phi - d * (m_d + params.cex_price))
+    return model.prob(d) * (swap_out(pool, d) + phi) - phi - d * (m_d + params.cex_price)
 
 
 def _plan_threshold(pool: PoolState, params: ArbParams, model: FailureModel) -> float:
@@ -183,16 +178,15 @@ def solve_chunk(
     return 0.5 * (lo + hi)
 
 
-def total_profit(pool: PoolState, params: ArbParams, model: FailureModel, n):
+def total_profit(pool: PoolState, params: ArbParams, model: FailureModel, n) -> float:
     """Expected profit of n equal chunks, pool drift ignored between them."""
-    if type(n) is int:
-        ok = n >= 1
-    else:
-        n = np.asarray(n)
-        ok = n.dtype != bool and np.all((n >= 1) & (n == np.floor(n)))  # a bool is never a count
-    if not ok:
+    try:
+        count = operator.index(n)  # an int or a numpy integer, not a float or a numpy bool
+    except TypeError:
+        count = 0
+    if count < 1 or type(n) is bool:  # a bool is never a count
         raise DomainError("n must be a positive integer")
-    return _as_output(n * per_swap_profit(pool, params, model, params.total_size / n))
+    return count * per_swap_profit(pool, params, model, params.total_size / count)
 
 
 def plan(pool: PoolState, params: ArbParams, model: FailureModel) -> SplitPlan:
@@ -205,7 +199,7 @@ def plan(pool: PoolState, params: ArbParams, model: FailureModel) -> SplitPlan:
     the floor, where p stops decreasing, raises ``DomainError``."""
     theta = _plan_threshold(pool, params, model)
     if params.gas_overhead >= theta:
-        n_star, profit, branch = 1, float(per_swap_profit(pool, params, model, params.total_size)), "single_swap"
+        n_star, profit, branch = 1, per_swap_profit(pool, params, model, params.total_size), "single_swap"
     else:
         q_star = solve_chunk(pool, params, model, theta=theta)
         n_ceil = max(1, math.ceil(params.total_size / q_star))
@@ -213,7 +207,7 @@ def plan(pool: PoolState, params: ArbParams, model: FailureModel) -> SplitPlan:
         # total-profit curve is unimodal in n, so the integer optimum is one of
         # the two; take the better, smaller n on ties
         candidates = [n_ceil - 1, n_ceil] if n_ceil > 1 else [n_ceil]
-        profits = [float(total_profit(pool, params, model, n)) for n in candidates]
+        profits = [total_profit(pool, params, model, n) for n in candidates]
         best = max(range(len(candidates)), key=lambda i: (profits[i], -candidates[i]))
         n_star, profit, branch = candidates[best], profits[best], "interior_root"
     if not math.isfinite(profit):
@@ -232,26 +226,23 @@ def brute_force_plan(
 ) -> SplitPlan:
     """Exact argmax over n in [1, n_max]; ties go to the smaller n.
 
-    Independent oracle for ``plan``: evaluates the total-profit curve
-    directly, no root finding involved.
+    Independent oracle for ``plan``: the argmax of ``profit_curve``, no root
+    finding involved.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    ns = np.arange(1, n_max + 1)
-    profits = np.asarray(total_profit(pool, params, model, ns))
-    best = int(np.argmax(profits))  # first max = smallest n on ties
-    truncated = n_max > 1 and best == n_max - 1
+    n_best, profit = max(profit_curve(pool, params, model, n_max), key=lambda row: row[1])  # the first max
+    truncated = n_max > 1 and n_best == n_max
     if truncated:
         warnings.warn(
             f"profit still rising at n_max={n_max}; optimum may lie beyond the scan",
             RuntimeWarning,
             stacklevel=2,
         )
-    n_best = int(ns[best])
     return SplitPlan(
         chunk_size=params.total_size / n_best,
         num_chunks=n_best,
-        expected_total_profit=float(profits[best]),
+        expected_total_profit=profit,
         branch="single_swap" if n_best == 1 else "interior_root",
         threshold_value=threshold(pool, params, model),
         truncated=truncated,
@@ -261,16 +252,17 @@ def brute_force_plan(
 def profit_curve(
     pool: PoolState, params: ArbParams, model: FailureModel, n_max: int
 ) -> list[tuple[int, float]]:
-    """(n, expected total profit) samples for plotting/export, all finite. Each input
-    check is monotone in q, so checking the smallest and largest q = D/n checks them all."""
+    """(n, expected total profit) for n in [1, n_max], all finite. Each input check
+    is monotone in q, so checking the smallest and largest q = D/n checks them all."""
     d = params.total_size
-    ns = np.arange(1, n_max + 1)
-    if ns.size:
-        _check_chunk(params, d / ns.size)  # the smallest q, D/n_max: 0 where it underflows
+    if n_max >= 1:
+        _check_chunk(params, d / n_max)  # the smallest q, D/n_max: 0 where it underflows
         per_swap_profit(pool, params, model, d)  # the largest
-    q = d / ns
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite profit raises below
-        profits = ns * _expected_profit(params, model.prob_and_slope_unchecked(q)[0], swap_out_unchecked(pool, q), q)
-    if not np.isfinite(profits).all():
-        raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
-    return list(zip(ns.tolist(), profits.tolist()))
+    rows = []
+    for n in range(1, n_max + 1):
+        q = d / n
+        profit = n * _expected_profit(params, model.prob_and_slope_unchecked(q)[0], swap_out_unchecked(pool, q), q)
+        if not math.isfinite(profit):
+            raise NoRootError("an expected profit is not finite: the pool's arithmetic has left the float range")
+        rows.append((n, profit))
+    return rows

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import strategies as st
 
 from splitmev import (
+    DEFAULT_FLOOR,
     ArbParams,
+    ConstantSuccess,
     LinearClamped,
     PoolState,
     PowerConcave,
     QuadraticConcave,
-    marginal_benefit,
-    swap_out,
+    TableInterpolated,
     threshold,
 )
 
@@ -55,18 +56,62 @@ def random_instance(rng, fee_choices=(0.0, 0.0005, 0.003, 0.01)):
     return pool, ArbParams(total, cex_price, gas, phi), model
 
 
+def ref_swap_out(pool, q):
+    """A numpy reference of ``swap_out`` over an array q, independent of ``src``."""
+    g = (1.0 - pool.fee) * q
+    return pool.reserve_y * g / (pool.reserve_x + g)
+
+
+def ref_marginal_out(pool, q):
+    """A numpy reference of ``marginal_out`` over an array q."""
+    g = pool.reserve_x + (1.0 - pool.fee) * q
+    return pool.reserve_y * (1.0 - pool.fee) * pool.reserve_x / (g * g)
+
+
+def ref_prob_and_slope(model, q):
+    """A numpy reference of ``model.prob`` and ``model.prob_derivative`` over an
+    array q: each family's closed form, then the floor, under which the slope is 0."""
+    q = np.asarray(q, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # the floor binds where they overflow
+        if isinstance(model, LinearClamped):
+            raw, slope = 1.0 - model.slope * q, np.full_like(q, -model.slope)
+        elif isinstance(model, PowerConcave):
+            scale = model.q_max**model.alpha
+            raw, slope = 1.0 - (q / model.q_max) ** model.alpha, -model.alpha * q ** (model.alpha - 1.0) / scale
+        elif isinstance(model, QuadraticConcave):
+            raw, slope = 1.0 - model.a * q - model.b * q * q, -(model.a + 2.0 * model.b * q)
+        elif isinstance(model, TableInterpolated):
+            qs, ps = np.asarray(model.qs, dtype=float), np.asarray(model.ps, dtype=float)
+            i = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, qs.size - 2)
+            raw, slope = np.interp(q, qs, ps), (ps[i + 1] - ps[i]) / (qs[i + 1] - qs[i])
+        elif isinstance(model, ConstantSuccess):
+            raw, slope = np.ones_like(q), np.zeros_like(q)
+        else:
+            raise TypeError(f"no reference for {type(model).__name__}")
+    above = raw > DEFAULT_FLOOR
+    return np.where(above, raw, DEFAULT_FLOOR), np.where(above, slope, 0.0)
+
+
 def residual(pool, params, model, q):
     """Left minus right side of the chunk-size root equation, and the right
-    side, through the checked array functions: the reference for
-    ``solve_chunk``'s plain-float kernel and for grid scans over q.
+    side, over an array q, from the numpy references above: an oracle for
+    ``solve_chunk`` and for grid scans over q that shares no code with ``src``.
 
     Strictly decreasing in q (its derivative is q * M'(q) < 0), so a sign
     change brackets the unique interior root.
     """
+    q = np.asarray(q, dtype=float)
     phi = params.liquidation_penalty
-    lhs = np.asarray(q) * (np.asarray(marginal_benefit(pool, params, model, q)) + params.cex_price)
-    rhs = np.asarray(model.prob(q)) * (np.asarray(swap_out(pool, q)) + phi) - (params.gas_overhead + phi)
-    return lhs - rhs, rhs
+    p, dp = ref_prob_and_slope(model, q)
+    dy = ref_swap_out(pool, q)
+    m = dp * (dy + phi) + p * ref_marginal_out(pool, q) - params.cex_price
+    rhs = p * (dy + phi) - (params.gas_overhead + phi)
+    return q * (m + params.cex_price) - rhs, rhs
+
+
+def pointwise(f, qs):
+    """``f`` at each element of ``qs``, one real number at a time, as an array."""
+    return np.array([f(q) for q in qs])
 
 
 def fee_rank_correlation(report):

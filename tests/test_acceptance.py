@@ -36,7 +36,7 @@ from splitmev import (
 )
 from splitmev.trace_analysis import LabelEntry
 
-from conftest import compliant_instances, fee_rank_correlation, residual
+from conftest import compliant_instances, fee_rank_correlation, pointwise, residual
 from test_trace_analysis import _record
 
 
@@ -93,7 +93,7 @@ def test_criterion_3_monotonicity_suite():
     ok = True
     for pool, params, model in compliant_instances(103, 100):
         qs = np.geomspace(params.total_size * 1e-6, params.total_size, 1000)
-        m = np.asarray(marginal_benefit(pool, params, model, qs))
+        m = pointwise(lambda q: marginal_benefit(pool, params, model, q), qs)
         if not np.all(np.diff(m) < 1e-9):
             ok = False
             break
@@ -113,18 +113,16 @@ def test_criterion_4_derivative_checks():
         pool = PoolState(10 ** rng.uniform(2, 7), 10 ** rng.uniform(2, 7), float(rng.choice([0, 0.003])))
         qs = np.geomspace(1e-4 * pool.reserve_x, pool.reserve_x, 100)
         h = qs * 1e-5
-        fd = (swap_out(pool, qs + h) - swap_out(pool, qs - h)) / (2 * h)
-        if not np.allclose(marginal_out(pool, qs), fd, rtol=1e-6, atol=0):
+        fd = (pointwise(lambda q: swap_out(pool, q), qs + h) - pointwise(lambda q: swap_out(pool, q), qs - h)) / (2 * h)
+        if not np.allclose(pointwise(lambda q: marginal_out(pool, q), qs), fd, rtol=1e-6, atol=0):
             ok = False
             break
     for pool, params, model in compliant_instances(105, 50):
         qs = np.geomspace(params.total_size * 1e-3, params.total_size * 0.9, 50)
         h = qs * 1e-5
-        fd = (
-            np.asarray(per_swap_profit(pool, params, model, qs + h))
-            - np.asarray(per_swap_profit(pool, params, model, qs - h))
-        ) / (2 * h)
-        m = np.asarray(marginal_benefit(pool, params, model, qs))
+        profit = lambda q: per_swap_profit(pool, params, model, q)  # noqa: E731
+        fd = (pointwise(profit, qs + h) - pointwise(profit, qs - h)) / (2 * h)
+        m = pointwise(lambda q: marginal_benefit(pool, params, model, q), qs)
         scale = np.max(np.abs(fd))
         if not np.allclose(m, fd, rtol=1e-6, atol=1e-9 * scale):
             ok = False

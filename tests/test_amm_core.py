@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from splitmev import DomainError, PoolState, apply_swap, marginal_out, swap_out
 from splitmev.amm_core import _MAX_SIZE_RATIO
 
-from conftest import pools
+from conftest import pointwise, pools
 
 # Float64 cannot keep strict order at ulp spacing: adjacent inputs often give
 # the same double, and swap_out can even come out an ulp or two lower. Each
@@ -138,8 +138,8 @@ def test_marginal_matches_finite_differences():
         pool = PoolState(10 ** rng.uniform(2, 6), 10 ** rng.uniform(2, 6), rng.choice([0, 0.003]))
         qs = np.geomspace(1e-6 * pool.reserve_x, 10 * pool.reserve_x, 40)
         h = qs * 1e-6
-        fd = (swap_out(pool, qs + h) - swap_out(pool, qs - h)) / (2 * h)
-        np.testing.assert_allclose(marginal_out(pool, qs), fd, rtol=1e-6)
+        fd = (pointwise(lambda q: swap_out(pool, q), qs + h) - pointwise(lambda q: swap_out(pool, q), qs - h)) / (2 * h)
+        np.testing.assert_allclose(pointwise(lambda q: marginal_out(pool, q), qs), fd, rtol=1e-6)
 
 
 @given(pools, st.floats(1e-3, 1e6))
@@ -163,12 +163,13 @@ def test_swap_out_bounded_by_reserve():
     assert 0 < swap_out(pool, 1e9) < pool.reserve_y
 
 
-def test_vectorized_over_q():
-    pool = PoolState(1000, 2000, 0.003)
-    qs = np.array([1.0, 10.0, 100.0])
-    out = swap_out(pool, qs)
-    assert out.shape == (3,)
-    assert out[0] == swap_out(pool, 1.0)
+def test_ndarray_q_is_refused():
+    # a size is one real number; an array of any shape but 0-d is refused by float()
+    pool = PoolState(1000.0, 2000.0, 0.003)
+    for fn in (swap_out, marginal_out, apply_swap):
+        for arr in (np.array([1.0, 10.0, 100.0]), np.array([]), np.empty((2, 0))):
+            with pytest.raises(TypeError):
+                fn(pool, arr)
 
 
 def _result_or_error(fn, pool, q):
@@ -191,8 +192,8 @@ odd_sizes = st.sampled_from(
 @example(PoolState(1e3, 2e3, 0.003), 0.0)
 @settings(max_examples=500)
 def test_float_fast_path_matches_array_path(pool, q):
-    """A float size, an np.float64 and a 0-d array give equal results and
-    equal DomainError messages, and a scalar size gives a Python float."""
+    """A float size, an np.float64 and a 0-d array are one real number: equal
+    results and equal DomainError messages, and the result is a Python float."""
     for fn in (swap_out, marginal_out, apply_swap):
         results = [_result_or_error(fn, pool, v) for v in (q, np.float64(q), np.asarray(q))]
         assert results[0] == results[1] == results[2]
@@ -201,31 +202,3 @@ def test_float_fast_path_matches_array_path(pool, q):
     if q == 0:  # allowed by swap_out and marginal_out, not by apply_swap
         assert _result_or_error(swap_out, pool, q) == 0.0
         assert _result_or_error(apply_swap, pool, q) == "DomainError: trade size must be positive and finite"
-
-
-@given(pools, st.one_of(st.floats(), odd_sizes))
-@example(PoolState(1e2, 1e2, 0), math.nan)
-@example(PoolState(1e2, 1e2, 0), -0.0)
-@settings(max_examples=300)
-def test_array_check_holds_at_any_position(pool, q):
-    """An array is checked on its smallest and largest elements: with q among
-    good sizes, wherever it stands, the array raises the float's message, or
-    gives the float's result at q's place."""
-    for fn in (swap_out, marginal_out):
-        scalar = _result_or_error(fn, pool, q)
-        for i in range(3):
-            arr = np.ones(3)
-            arr[i] = q
-            result = _result_or_error(fn, pool, arr)
-            if isinstance(scalar, str):
-                assert result == scalar
-            else:
-                assert float(result[i]).hex() == scalar.hex()
-
-
-def test_empty_array_passes():
-    pool = PoolState(1000.0, 2000.0, 0.003)
-    for fn in (swap_out, marginal_out):
-        for empty in (np.array([]), np.empty((2, 0))):
-            out = fn(pool, empty)
-            assert type(out) is np.ndarray and out.shape == empty.shape

@@ -22,6 +22,8 @@ from splitmev import (
 from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
 
+from conftest import pointwise
+
 ALL_MODELS = [
     LinearClamped(slope=0.001),
     PowerConcave(q_max=1000, alpha=2),
@@ -64,7 +66,7 @@ def test_power_concave_values():
     ],
 )
 def test_power_concave_float_path_is_silent(q_max, alpha, q, p, slope):
-    # the float path enters np.errstate only above q_max
+    # no power is taken above q_max, where the floor binds
     m = PowerConcave(q_max=q_max, alpha=alpha)
     assert (m.prob(q), m.prob_derivative(q)) == (p, slope)
     assert (m.prob(np.array(q)), m.prob_derivative(np.array(q))) == (p, slope)
@@ -92,9 +94,9 @@ def test_table_interpolation_and_domain():
 def test_floor_keeps_prob_positive():
     for model in ALL_MODELS:
         hi = model.domain_max() or 1e6
-        qs = np.linspace(0, hi, 500)
-        assert np.all(np.asarray(model.prob(qs)) >= DEFAULT_FLOOR)
-        assert np.all(np.asarray(model.prob(qs)) <= 1.0)
+        p = pointwise(model.prob, np.linspace(0, hi, 500))
+        assert np.all(p >= DEFAULT_FLOOR)
+        assert np.all(p <= 1.0)
 
 
 def test_invalid_constructions():
@@ -125,8 +127,8 @@ def test_derivative_matches_finite_differences():
         # stay away from clamp/floor kinks
         qs = np.linspace(hi * 0.01, hi * 0.6, 100)
         h = hi * 1e-7
-        fd = (np.asarray(model.prob(qs + h)) - np.asarray(model.prob(qs - h))) / (2 * h)
-        np.testing.assert_allclose(np.asarray(model.prob_derivative(qs)), fd, rtol=1e-6, atol=1e-12)
+        fd = (pointwise(model.prob, qs + h) - pointwise(model.prob, qs - h)) / (2 * h)
+        np.testing.assert_allclose(pointwise(model.prob_derivative, qs), fd, rtol=1e-6, atol=1e-12)
 
 
 def test_linear_table_is_concave():
@@ -195,11 +197,11 @@ class KernelOnlyLinear(FailureModel):
 def test_custom_family_needs_only_the_kernel():
     custom, linear = KernelOnlyLinear(slope=0.001), LinearClamped(slope=0.001)
 
-    def bits(x):  # the type too: a float for a float q, an array for an array
-        return type(x), np.asarray(x).tobytes()
+    def bits(x):  # the type too: a float
+        return type(x), float(x).hex()
 
-    # the floor binds beyond q = 1000; a numpy scalar or 0-d array takes the array path
-    for q in (0.0, 250.0, 1000.0, 1500.0, np.float64(250.0), np.linspace(0.0, 2000.0, 41)):
+    # the floor binds beyond q = 1000; an int, a numpy scalar or a 0-d array is one real number
+    for q in (0.0, 250.0, 1000.0, 1500.0, 2000, np.float64(250.0), np.asarray(1750.0), *np.linspace(0.0, 2000.0, 41)):
         for method in ("prob", "prob_derivative"):
             assert bits(getattr(custom, method)(q)) == bits(getattr(linear, method)(q)), (method, q)
     pool, params = PoolState(1000.0, 2000.0, 0.0), ArbParams(100.0, 1.9, 1.0)

@@ -2,7 +2,10 @@ import csv
 import datetime as dt
 import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitmev import (
     FeeBreakdown,
@@ -144,6 +147,24 @@ def test_fixture_priority_fee_distribution(fixtures_dir):
     assert dist["zero_fee_share"] == pytest.approx(0.5)
     assert dist["one_wei_share"] == pytest.approx(10 / 24)
     assert dist["quantiles"][0.5] <= dist["quantiles"][0.99]
+
+
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1)), min_size=1, max_size=60))
+@example([7])  # n = 1
+@example([0, 0, 1, 1, 1, 5])  # ties
+@example([2**63 - 1, 2**63 - 1, 0, 2**53 + 1])  # past 2**53, where the quantiles round
+@settings(max_examples=50)
+def test_priority_fee_distribution_matches_numpy(fees):
+    # plain-Python shares and quantiles, bit for bit as np.mean and np.quantile give them
+    records = [make_record(status="reverted", priority_fee_per_gas=fee) for fee in fees]
+    dist = priority_fee_distribution([make_record(status="success", priority_fee_per_gas=0), *records])
+    arr = np.asarray(fees)
+    expected = [float(np.mean(arr == 0)), float(np.mean(arr == 1))]
+    expected += [float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75, 0.9, 0.99)]
+    got = [dist["zero_fee_share"], dist["one_wei_share"], *dist["quantiles"].values()]
+    assert dist["count"] == len(fees) and list(dist["quantiles"]) == [0.25, 0.5, 0.75, 0.9, 0.99]
+    assert [type(x) for x in got] == [float] * 7
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_priority_fee_distribution_empty():

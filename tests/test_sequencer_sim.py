@@ -601,6 +601,8 @@ def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reve
         # values of one order that compare equal but encode differently
         [reverted(0, payout=0.0), reverted(1, payout=-0.0)],
         [reverted(0, profit=-1.0), reverted(1, profit=-1)],
+        # a bool in a value field, which %r would write as True
+        [TxOutcome(0, "a", 0, True, 0, "success", 1.0, 0.0, 0.5, 2.0, 1.0), reverted(1, payout=False)],
     ],
 )
 def test_to_json_of_hand_built_reports(rows):
