@@ -167,9 +167,17 @@ def test_ndarray_q_is_refused():
     # a size is one real number; an array of any shape but 0-d is refused by float()
     pool = PoolState(1000.0, 2000.0, 0.003)
     for fn in (swap_out, marginal_out, apply_swap):
-        for arr in (np.array([1.0, 10.0, 100.0]), np.array([]), np.empty((2, 0))):
+        for arr in (np.array([1.0, 10.0, 100.0]), np.ones((2, 2))):
             with pytest.raises(TypeError):
                 fn(pool, arr)
+
+
+def test_empty_array_q_is_refused():
+    pool = PoolState(1000.0, 2000.0, 0.003)
+    for fn in (swap_out, marginal_out, apply_swap):
+        for empty in (np.array([]), np.empty((2, 0))):
+            with pytest.raises(TypeError):
+                fn(pool, empty)
 
 
 def _result_or_error(fn, pool, q):
