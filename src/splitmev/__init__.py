@@ -1,14 +1,30 @@
 """splitmev: trade-splitting optimization, sequencer simulation, and
-revert-trace analytics for CEX-DEX arbitrage on fast-finality chains."""
+revert-trace analytics for CEX-DEX arbitrage on fast-finality chains.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import splitmev.cli`` loads no module that its subcommand does not use;
+``from splitmev import *`` still binds every module's ``__all__``."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .amm_core import *
-from .failure_models import *
-from .split_optimizer import *
-from .sequencer_sim import *
-from .fee_accounting import *
-from .trace_analysis import *
+# the modules whose __all__ the package serves, numpy-free ones first, whose names load no numpy
+_MODULES = ("amm_core", "fee_accounting", "trace_analysis", "failure_models", "split_optimizer", "sequencer_sim")
 
-__all__ = ["__version__", *amm_core.__all__, *failure_models.__all__, *split_optimizer.__all__,
-           *sequencer_sim.__all__, *fee_accounting.__all__, *trace_analysis.__all__]
+
+def __getattr__(name: str):
+    if name in (*_MODULES, "cli", "config"):  # a submodule, as ``from splitmev import cli`` asks for it
+        return importlib.import_module(f"{__name__}.{name}")
+    names = ["__version__"]
+    for module in map(importlib.import_module, (f"{__name__}.{m}" for m in _MODULES)):
+        if name in module.__all__:
+            value = getattr(module, name)
+            break
+        names += module.__all__
+    else:
+        if name != "__all__":
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = names
+    globals()[name] = value
+    return value

@@ -11,15 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import DomainError
+
 __all__ = ["DomainError", "PoolState", "swap_out", "marginal_out", "apply_swap"]
 
 # Beyond this ratio x + (1-f)q loses too much relative precision for the
 # concavity/derivative guarantees to mean anything.
 _MAX_SIZE_RATIO = 1e12
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of an operation."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ or a simulated profit that is not finite).
 ``--quiet``, hands the rest to that subcommand's parser alone; any other argv,
 or one with tokens that parser leaves, goes through the full parser, for its
 usage lines, errors and exit codes. No path, nor ``SPLITMEV_OUT``, may be empty.
+
+Importing this module loads ``config`` alone: each subcommand imports its own
+modules when it runs, so ``analyze`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -33,27 +36,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .amm_core import DomainError, PoolState
-from .config import ConfigError, build, read_input
-from .failure_models import from_config as model_from_config
-from .fee_accounting import (
-    SchemaError,
-    position_histogram,
-    priority_fee_distribution,
-    read_records_csv,
-    revert_differential,
-    revert_stats,
-)
-from .sequencer_sim import SimConfig, run, summarize
-from .split_optimizer import ArbParams, NoRootError, plan, profit_curve
-from .trace_analysis import (
-    TraceParseError,
-    breakdown,
-    classify_swap,
-    identify_bots,
-    load_trace_file,
-    read_labels_csv,
-)
+from .config import ConfigError, DomainError, NoRootError, SchemaError, TraceParseError, read_input
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,29 +115,9 @@ def _write_csv(path: Path, header: list[str], rows):
     _write(path, buf.getvalue())
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelConfig:
-    """The ``model`` section of an ``optimize`` config."""
-
-    family: str
-    parameters: dict = dataclasses.field(default_factory=dict)
-
-
-@dataclasses.dataclass(frozen=True)
-class OptimizeConfig:
-    """An ``optimize`` config file."""
-
-    pool: PoolState
-    params: ArbParams
-    model: ModelConfig
-
-
-def _optimize_config(doc):  # the config and its failure model
-    cfg = build(OptimizeConfig, doc)
-    return cfg, model_from_config(cfg.model.family, cfg.model.parameters)
-
-
 def cmd_optimize(args, out_dir: Path):
+    from .split_optimizer import _optimize_config, plan, profit_curve
+
     (cfg, model), raw = _load_config(args.config, _optimize_config)
     result = plan(cfg.pool, cfg.params, model)
 
@@ -174,6 +137,8 @@ def _json_files(directory: Path) -> list[Path]:
 
 
 def cmd_simulate(args, out_dir: Path):
+    from .sequencer_sim import SimConfig, run, summarize
+
     runs = [(args.config, out_dir)]
     if args.config.is_dir():
         runs = [(cfg, out_dir / cfg.stem) for cfg in _json_files(args.config)]
@@ -198,6 +163,10 @@ def cmd_simulate(args, out_dir: Path):
 
 
 def cmd_analyze(args, out_dir: Path):
+    from .fee_accounting import position_histogram, priority_fee_distribution, read_records_csv
+    from .fee_accounting import revert_differential, revert_stats
+    from .trace_analysis import breakdown, classify_swap, identify_bots, load_trace_file, read_labels_csv
+
     # each input is read once: parsed, and hashed into the manifest's sha256(labels || records)
     text, raw = read_input(args.labels, SchemaError)
     digest = hashlib.sha256(raw)

@@ -1,6 +1,8 @@
 """One builder for JSON configs: the fields of a frozen dataclass give the
 allowed keys, the required keys and the type of each value. One reader for
-every input file."""
+every input file. The error classes of the CLI's exit contract (2 for
+``DomainError``, ``SchemaError`` and ``TraceParseError``, 3 for ``NoRootError``),
+which the modules that raise them re-export: ``cli.main`` catches them from here alone."""
 
 from __future__ import annotations
 
@@ -8,15 +10,31 @@ import functools
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .amm_core import DomainError
-
 # JSON types accepted for each field type; a bool is never a number.
 _JSON = {float: ((int, float), "expected a number"), int: (int, "expected an integer"),
          str: (str, "expected a string"), dict: (dict, "expected an object")}
 
 
+class DomainError(ValueError):
+    """Input outside the mathematical domain of an operation."""
+
+
 class ConfigError(DomainError):
     """Invalid configuration; the message starts with the offending field path."""
+
+
+class SchemaError(ValueError):
+    """Malformed record row or CSV header."""
+
+
+class TraceParseError(ValueError):
+    """Malformed trace frame; message carries the path to the bad frame."""
+
+
+class NoRootError(RuntimeError):
+    """A numerical anomaly: a residual nonpositive at q = D * 1e-9, so the root
+    degenerates to 0; a threshold, expected profit or simulated block number that
+    is not finite; or a simulated profit that is not finite."""
 
 
 def read_input(path, error) -> tuple[str, bytes]:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amm_core import DomainError
-from .config import build, require
+from .config import DomainError, build, require
 
 __all__ = [
     "FailureModel",
@@ -159,13 +158,13 @@ class TableInterpolated(FailureModel):
         return self.qs[-1]
 
     def _raw_and_slope(self, q):
-        # np.interp's formula slope * (q - qs[i]) + ps[i], with qs[i] <= q the
-        # knot at or below q; at the last knot the slope is the last segment's
+        # np.interp's slope * (q - qs[i]) + ps[i], qs[i] <= q the knot at or below q, and ps[i] at a
+        # knot itself, where an infinite slope times 0 would be NaN; the last knot takes the last slope
         qs, ps = self.qs, self.ps
         i = bisect_right(qs, q) - 1
         j = min(i, len(qs) - 2)
         slope = (ps[j + 1] - ps[j]) / (qs[j + 1] - qs[j])
-        return slope * (q - qs[i]) + ps[i], slope
+        return ps[i] if q == qs[i] else slope * (q - qs[i]) + ps[i], slope
 
 
 @dataclass(frozen=True)

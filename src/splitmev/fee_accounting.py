@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .config import _fields
+from .config import SchemaError, _fields
 
 __all__ = [
     "TxRecord",
@@ -33,10 +33,6 @@ __all__ = [
 
 STATUSES = ("success", "reverted")
 _ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowercased address
-
-
-class SchemaError(ValueError):
-    """Malformed record row or CSV header."""
 
 
 def _address(value, name: str) -> str:

@@ -32,8 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amm_core import PoolState, apply_swap, swap_out
-from .config import ConfigError, build, require
-from .split_optimizer import NoRootError
+from .config import ConfigError, NoRootError, build, require
 
 __all__ = [
     "ConfigError",
@@ -177,13 +176,17 @@ class SimReport:
         ``run``'s (bot, size) orders and status do, share a template, so 0.0
         and -0.0, or 1 and 1.0, are written as the first row has them
         (``run`` never mixes them within an order). ``%r`` writes an int or
-        a finite float as ``json.dumps`` does. A value field of another type
-        (a bool or a numpy value), or value fields whose sum is not a finite
-        ``float`` (an infinite or NaN value), send every row through ``json.dumps``."""
+        a finite float as ``json.dumps`` does. A value field of another type (a bool or a
+        numpy value), or value fields whose sum is not a finite ``float`` (an infinite or
+        NaN value, or an int beyond the float range), send every row through ``json.dumps``."""
         keys = list(map(_ROW_KEY, self.outcomes))
         values = list(map(_ROW_VALUES, self.outcomes))
         numbers = {*map(type, chain.from_iterable(values))} <= {int, float}  # no bool, no numpy value
-        if numbers and type(total := sum(chain.from_iterable(values))) is float and math.isfinite(total):
+        try:
+            total = sum(chain.from_iterable(values)) if numbers else None
+        except OverflowError:  # an int beyond the float range
+            total = None
+        if type(total) is float and math.isfinite(total):
             templates = {key: _row_template(key) for key in set(keys)}
             rows = ",".join(map(str.__mod__, map(templates.__getitem__, keys), values))
         else:

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .amm_core import DomainError, PoolState, marginal_out, swap_out
+from .amm_core import PoolState, marginal_out, swap_out
 from .amm_core import marginal_out_unchecked, swap_out_unchecked
-from .config import require
-from .failure_models import DEFAULT_FLOOR, FailureModel
+from .config import DomainError, NoRootError, build, require
+from .failure_models import DEFAULT_FLOOR, FailureModel, from_config
 
 __all__ = [
     "ArbParams",
@@ -43,12 +43,6 @@ __all__ = [
 REL_TOL = 1e-10  # of the root residual and of the bracket around q*
 
 
-class NoRootError(RuntimeError):
-    """A numerical anomaly: a residual nonpositive at q = D * 1e-9, so the root
-    degenerates to 0; a threshold, expected profit or simulated block number that
-    is not finite; or a simulated profit that is not finite."""
-
-
 @dataclass(frozen=True)
 class ArbParams:
     """One arbitrage instance: total size, CEX price, per-swap costs."""
@@ -63,6 +57,28 @@ class ArbParams:
         require(0 < self.cex_price < math.inf, "cex_price", "must be positive and finite")
         require(0 <= self.gas_overhead < math.inf, "gas_overhead", "must be nonnegative and finite")
         require(0 <= self.liquidation_penalty < math.inf, "liquidation_penalty", "must be nonnegative and finite")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """The ``model`` section of an ``optimize`` config."""
+
+    family: str
+    parameters: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class OptimizeConfig:
+    """An ``optimize`` config file."""
+
+    pool: PoolState
+    params: ArbParams
+    model: ModelConfig
+
+
+def _optimize_config(doc):  # the config and its failure model
+    cfg = build(OptimizeConfig, doc)
+    return cfg, from_config(cfg.model.family, cfg.model.parameters)
 
 
 @dataclass(frozen=True)

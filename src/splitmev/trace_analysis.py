@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 from json.scanner import py_make_scanner
 from typing import NamedTuple
 
-from .config import read_input
-from .fee_accounting import SchemaError, TxRecord, _address, _csv_records
+from .config import SchemaError, TraceParseError, read_input
+from .fee_accounting import TxRecord, _address, _csv_records
 
 __all__ = [
     "ExecutionGraph",
@@ -46,10 +46,6 @@ INFRA_KINDS = {"router", "pool_v2", "pool_v3", "pool_manager_v4"}
 LABEL_KINDS = INFRA_KINDS | {"token", "other"}
 
 MAX_CALL_DEPTH = 1024
-
-
-class TraceParseError(ValueError):
-    """Malformed trace frame; message carries the path to the bad frame."""
 
 
 def _path(where) -> str:

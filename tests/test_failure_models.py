@@ -158,6 +158,15 @@ def test_convex_table_is_rejected():
     TableInterpolated(qs=(0.0, 1e-310, 2e-310), ps=(1.0, 0.9, 0.5))
 
 
+def test_table_with_slopes_past_the_float_range_matches_np_interp():
+    # at a knot the table is its p, as np.interp has it, not the -inf slope times 0 (NaN);
+    # between knots np.interp gives -inf, so the floor binds
+    m = TableInterpolated(qs=(0.0, 1e-310, 2e-310), ps=(1.0, 0.9, 0.5))
+    for q in (*m.qs, 1.5e-310):
+        assert m.prob(q) == max(float(np.interp(q, m.qs, m.ps)), DEFAULT_FLOOR), q
+    assert [m.prob(q) for q in m.qs] == [1.0, 0.9, 0.5]
+
+
 def test_from_config():
     m = from_config("power_concave", {"q_max": 100, "alpha": 2})
     assert m == PowerConcave(q_max=100.0, alpha=2.0)

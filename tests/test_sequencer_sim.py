@@ -603,6 +603,8 @@ def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reve
         [reverted(0, profit=-1.0), reverted(1, profit=-1)],
         # a bool in a value field, which %r would write as True
         [TxOutcome(0, "a", 0, True, 0, "success", 1.0, 0.0, 0.5, 2.0, 1.0), reverted(1, payout=False)],
+        # an int beyond the float range in a value field, which the sum of the values cannot take
+        [TxOutcome(0, "a", 0, 10**400, 0, "success", 1.0, 0.0, 0.5, 2.0, 1.0), reverted(1)],
     ],
 )
 def test_to_json_of_hand_built_reports(rows):
