@@ -9,7 +9,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the modules whose __all__ the package serves, numpy-free ones first, whose names load no numpy
+# the modules whose __all__ the package serves; only the last imports numpy, so no other's names load it
 _MODULES = ("amm_core", "fee_accounting", "trace_analysis", "failure_models", "split_optimizer", "sequencer_sim")
 
 

@@ -17,7 +17,7 @@ or one with tokens that parser leaves, goes through the full parser, for its
 usage lines, errors and exit codes. No path, nor ``SPLITMEV_OUT``, may be empty.
 
 Importing this module loads ``config`` alone: each subcommand imports its own
-modules when it runs, so ``analyze`` never loads numpy.
+modules when it runs, so only ``simulate``, for its PCG64 draws, loads numpy.
 """
 
 from __future__ import annotations

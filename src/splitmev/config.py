@@ -66,9 +66,13 @@ def _coerce(tp, value, path: str):
         kinds, msg = _JSON[tp]
         require(isinstance(value, kinds) and not isinstance(value, bool), path, msg)
         try:
+            if tp is str:
+                value.encode()  # a lone surrogate, which a JSON escape can make, cannot be written out
             return float(value) if tp is float else value
         except OverflowError:
             raise ConfigError(f"{path}: number out of range") from None
+        except UnicodeEncodeError:
+            raise ConfigError(f"{path}: not valid Unicode text") from None
     if is_dataclass(tp):
         return build(tp, value, path)
     item = get_args(tp)[0]  # of tuple[X, ...] or X | None, the only other field types

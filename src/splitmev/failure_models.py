@@ -3,7 +3,8 @@
 Every family satisfies p(0) = 1 and is weakly concave and decreasing on its
 declared domain (before the probability floor binds), as the trade-splitting
 optimality argument needs; a table's slopes are checked for it. A model is
-evaluated at one real q at a time, in plain floats.
+evaluated at one real q at a time, and everything here is plain Python floats
+with no numpy, whose SIMD kernels can round a power differently by CPU.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import DomainError, build, require
 
@@ -100,19 +99,19 @@ class PowerConcave(FailureModel):
     def __post_init__(self):
         require(0 < self.q_max < math.inf, "q_max", "must be positive and finite")
         require(1.0 <= self.alpha < math.inf, "alpha", "must be finite and >= 1 for concavity")
-        with np.errstate(over="ignore"):  # a float's ** would raise OverflowError
-            scale = np.float64(self.q_max) ** self.alpha
-        require(np.isfinite(scale), "q_max", "q_max**alpha overflows")
+        try:
+            scale = float(self.q_max) ** self.alpha
+        except OverflowError:
+            scale = math.inf
+        require(scale < math.inf, "q_max", "q_max**alpha overflows")
         require(scale >= sys.float_info.min, "q_max", "q_max**alpha underflows")  # the slope divides by it
 
     def _raw_and_slope(self, q):
         # Above q_max, p <= 0 and the floor binds, and a power can overflow. At or below it
-        # none does: __post_init__ checks that q_max**alpha is a finite normal float. The slope
-        # keeps np.power, whose bits plan.json's threshold_value holds: a float's ** differs from
-        # it in the last bit in about 5% of cases.
+        # none does: __post_init__ checks that q_max**alpha is a finite normal float.
         if q > self.q_max:
             return -math.inf, 0.0
-        slope = -self.alpha * float(np.power(q, self.alpha - 1.0)) / self.q_max**self.alpha
+        slope = -self.alpha * q ** (self.alpha - 1.0) / self.q_max**self.alpha
         return 1.0 - (q / self.q_max) ** self.alpha, slope
 
 
@@ -142,17 +141,16 @@ class TableInterpolated(FailureModel):
     ps: tuple[float, ...]
 
     def __post_init__(self):
-        qs, ps = np.asarray(self.qs, float), np.asarray(self.ps, float)
-        require(qs.ndim == 1 and qs.size >= 2, "qs", "must be a list of at least two points")
-        require(ps.shape == qs.shape, "ps", "must have as many points as qs")
-        require(qs[0] == 0.0, "qs", "must start at 0")
+        qs, ps = self.qs, self.ps
+        require(len(qs) >= 2, "qs", "must be a list of at least two points")
+        require(len(ps) == len(qs), "ps", "must have as many points as qs")
+        require(qs[0] == 0.0, "qs", "must start at 0")  # a nested list fails here, before any arithmetic
         require(ps[0] == 1.0, "ps", "must start at 1")
-        dq, dp = np.diff(qs), np.diff(ps)
-        require(np.all(dq > 0) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
-        require(np.all(dp < 0) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
-        with np.errstate(over="ignore"):  # a slope past the float range is -inf, which still compares right
-            slopes = dp / dq
-        require((slopes[1:] <= slopes[:-1] * (1.0 - 1e-9)).all(), "ps", "must be concave: its slopes must not increase")
+        dq, dp = [b - a for a, b in zip(qs, qs[1:])], [b - a for a, b in zip(ps, ps[1:])]
+        require(all(d > 0 for d in dq) and qs[-1] < math.inf, "qs", "must be strictly increasing and finite")
+        require(all(d < 0 for d in dp) and ps[-1] > -math.inf, "ps", "must be strictly decreasing and finite")
+        slopes = [p / q for p, q in zip(dp, dq)]  # a slope past the float range is -inf, which still compares right
+        require(all(b <= a * (1.0 - 1e-9) for a, b in zip(slopes, slopes[1:])), "ps", "must be concave: its slopes must not increase")
 
     def domain_max(self):
         return self.qs[-1]

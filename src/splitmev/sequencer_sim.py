@@ -98,6 +98,9 @@ class SimConfig:
         require(self.block_time > 0, "block_time", "must be positive")
         require(self.block_time <= self.horizon < math.inf, "horizon", "must be finite and >= block_time")
         require(len(self.bots) >= 1, "bots", "need at least one bot")
+        first = {}  # each bot's profit and report rows are keyed by its name
+        for i, bot in enumerate(self.bots):
+            require(first.setdefault(bot.name, i) == i, f"bots[{i}].name", f"duplicates bots[{first[bot.name]}]")
         require(self.ordering in ORDERINGS, "ordering", f"must be one of {ORDERINGS}")
         require(0 < self.cex_price < math.inf, "cex_price", "must be positive and finite")
         require(self.seed >= 0, "seed", "must be a nonnegative integer")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -90,6 +92,30 @@ def ref_prob_and_slope(model, q):
             raise TypeError(f"no reference for {type(model).__name__}")
     above = raw > DEFAULT_FLOOR
     return np.where(above, raw, DEFAULT_FLOOR), np.where(above, slope, 0.0)
+
+
+def ref_table_refusal(qs, ps):
+    """The message with which a numpy copy of ``TableInterpolated``'s checks of its knots
+    refuses (qs, ps), checking in the same order, or None where it accepts them."""
+    qs, ps = np.asarray(qs, float), np.asarray(ps, float)
+    if not (qs.ndim == 1 and qs.size >= 2):
+        return "qs: must be a list of at least two points"
+    if not ps.shape == qs.shape:
+        return "ps: must have as many points as qs"
+    if not qs[0] == 0.0:
+        return "qs: must start at 0"
+    if not ps[0] == 1.0:
+        return "ps: must start at 1"
+    with np.errstate(all="ignore"):  # inf - inf, and a slope past the float range
+        dq, dp = np.diff(qs), np.diff(ps)
+        slopes = dp / dq
+    if not (np.all(dq > 0) and qs[-1] < math.inf):
+        return "qs: must be strictly increasing and finite"
+    if not (np.all(dp < 0) and ps[-1] > -math.inf):
+        return "ps: must be strictly decreasing and finite"
+    if not (slopes[1:] <= slopes[:-1] * (1.0 - 1e-9)).all():
+        return "ps: must be concave: its slopes must not increase"
+    return None
 
 
 def residual(pool, params, model, q):

@@ -153,6 +153,13 @@ MALFORMED_CONFIGS = {
             ("power_concave", {"q_max": 0.5}, "alpha"),  # 0.5**inf is 0, a finite divisor
         ]
     },
+    # a lone surrogate from a JSON escape, which no output file can hold as UTF-8
+    "sim-lone-surrogate-name": ("simulate", edited(SIM, bots=[edited(BOT, name="\ud800bot")]), "config.bots[0].name"),
+    # two bots with one name, whose profits per_bot_profit.csv would sum; a default name bot{i} too
+    "sim-repeated-name": ("simulate", edited(SIM, bots=[BOT, BOT]), "config.bots[1].name"),
+    "sim-repeated-default-name": (
+        "simulate", edited(SIM, bots=[edited(BOT, name="bot1"), edited(BOT, drop=["name"])]), "config.bots[1].name"
+    ),
     "opt-infinite-table-q": (
         "optimize",
         edited(OPT, model={"family": "table_interpolated", "parameters": {"qs": [0.0, math.inf], "ps": [1.0, 0.5]}}),
@@ -296,6 +303,7 @@ def test_malformed_config_names_field(tmp_path, capsys, subcommand, cfg, field):
     err = capsys.readouterr().err
     assert f"error: {path}: {field}: " in err
     assert "Traceback" not in err
+    assert list((tmp_path / "o").rglob("*")) == []
 
 
 @pytest.mark.parametrize("text", [b"[" * 100_000, b"1" * 5000, b"\xff"], ids=["deep", "long-int", "not-utf8"])

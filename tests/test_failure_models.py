@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitmev import (
     DEFAULT_FLOOR,
@@ -22,7 +24,7 @@ from splitmev import (
 from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
 
-from conftest import pointwise
+from conftest import pointwise, ref_table_refusal
 
 ALL_MODELS = [
     LinearClamped(slope=0.001),
@@ -54,6 +56,19 @@ def test_power_concave_values():
     m = PowerConcave(q_max=1000, alpha=2)
     assert m.prob(500) == pytest.approx(0.75, rel=1e-15)  # 1 - (500/1000)^2
     assert m.prob_derivative(500) == pytest.approx(-0.001, rel=1e-12)  # -2*500/1e6
+
+
+@pytest.mark.parametrize("q_max, alpha, q", [
+    (1000.0, 2.3, 224.0),  # numpy's AVX-512 power rounds q**(alpha - 1) one ulp away from a float's **
+    (500.0, 2.41, 44.4),
+    (1000.0, 2.0, 500.0),
+    (2.0, 1.5, 1.0),
+    (1000.0, 1.0, 0.0),  # 0.0**0.0 is 1
+])
+def test_power_concave_slope_is_the_float_formula(q_max, alpha, q):
+    # the same bits on every CPU: plan.json's threshold_value holds them
+    slope = PowerConcave(q_max=q_max, alpha=alpha).prob_derivative(q)
+    assert slope.hex() == (-alpha * q ** (alpha - 1.0) / q_max**alpha).hex()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -110,7 +125,7 @@ def test_invalid_constructions():
         TableInterpolated(qs=(0, 10), ps=(0.9, 0.5))  # must start at p=1
     with pytest.raises(DomainError):
         TableInterpolated(qs=(0, 10, 5), ps=(1.0, 0.8, 0.5))
-    with pytest.raises(DomainError):  # not a list of points, which np.asarray would take
+    with pytest.raises(DomainError):  # not a list of numbers: its first point is not 0
         TableInterpolated(qs=((0, 1), (2, 3)), ps=((1.0, 0.5), (0.4, 0.3)))
     with pytest.raises(DomainError):
         QuadraticConcave(a=0, b=0)
@@ -156,6 +171,47 @@ def test_convex_table_is_rejected():
     with pytest.raises(ConfigError, match=r"^ps: must be concave"):
         TableInterpolated(qs=(0.0, 1e-320, 1.0), ps=(1.0, 0.5, 0.0))
     TableInterpolated(qs=(0.0, 1e-310, 2e-310), ps=(1.0, 0.9, 0.5))
+
+
+@st.composite
+def knot_tables(draw):
+    """(qs, ps) that reach every check of a table: sorted knots after a first one that may be
+    wrong, now and then a subnormal, huge, infinite or NaN one, and ps either sorted or built
+    along slopes, which do not increase (concave up to rounding; a repeated slope is a straight
+    segment whose slopes differ by float noise) unless they are left unsorted."""
+    n = draw(st.integers(0, 5))
+    knots = st.floats(1e-3, 1e3) if draw(st.booleans()) else st.floats(0.0, 1e3) | st.sampled_from(
+        [5e-324, 1e-310, 1e300, math.inf, math.nan])
+    unique = draw(st.sampled_from([True, True, False]))
+    qs = [draw(st.sampled_from([0.0, 0.0, -0.0, 0.5]))]
+    qs += sorted(draw(st.lists(knots, min_size=n, max_size=n, unique=unique)))
+    if draw(st.booleans()):
+        slopes = draw(st.lists(st.floats(-10.0, -1e-3) | st.sampled_from([-0.5, -1e300]), min_size=n, max_size=n))
+        ps = [1.0]
+        for slope, a, b in zip(sorted(slopes, reverse=True) if draw(st.booleans()) else slopes, qs, qs[1:]):
+            ps.append(ps[-1] + slope * (b - a))
+    else:
+        m = draw(st.sampled_from([n, n, n, n + 1]))
+        values = st.floats(-2.0, 1.0) | st.sampled_from([-1e300, -math.inf, math.nan])
+        ps = [draw(st.sampled_from([1.0, 1.0, 0.9]))] + sorted(draw(st.lists(values, min_size=m, max_size=m)), reverse=True)
+    return qs, ps
+
+
+@given(knot_tables())
+@example(([0.0, 1e-320, 1.0], [1.0, 0.5, 0.0]))  # slopes -inf then -0.5
+@example(([0.0, 1e-310, 2e-310], [1.0, 0.9, 0.5]))  # slopes -inf then -inf
+@example(([0.0, 100.0, 200.0], [1.0, 0.5, 0.5 - 0.5 * (1.0 - 5e-9)]))  # bent up by 5 times the slack
+@example(([0.0, 100.0, 200.0], [1.0, 0.5, 0.5 - 0.5 * (1.0 - 5e-10)]))  # and by half of it
+@settings(max_examples=400)
+def test_table_checks_match_the_numpy_reference(table):
+    qs, ps = table
+    expected = ref_table_refusal(qs, ps)
+    if expected is None:
+        TableInterpolated(qs=tuple(qs), ps=tuple(ps))
+    else:
+        with pytest.raises(ConfigError) as info:
+            TableInterpolated(qs=tuple(qs), ps=tuple(ps))
+        assert str(info.value) == expected
 
 
 def test_table_with_slopes_past_the_float_range_matches_np_interp():

@@ -14,8 +14,8 @@ from splitmev import trace_analysis
 MODULES = (amm_core, failure_models, split_optimizer, sequencer_sim, fee_accounting, trace_analysis)
 
 # a fresh interpreter: the modules loaded after importing the CLI and two names of numpy-free
-# modules, and after one analyze run
-COLD_ANALYZE = """
+# modules, and after one CLI call
+COLD_CALL = """
 import sys
 import splitmev.cli
 from splitmev import DomainError, read_records_csv
@@ -26,19 +26,27 @@ print(code, *map(" ".join, loaded), sep="\\n")
 """
 
 
-def test_cold_analyze_imports_no_numpy(tmp_path, fixtures_dir):
-    args = ["--quiet", "analyze", "--traces", str(fixtures_dir / "traces"), "--labels",
-            str(fixtures_dir / "labels.csv"), "--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path)]
+# a subcommand, its inputs (relative to the repository), the splitmev modules it must not load,
+# and one of its outputs
+@pytest.mark.parametrize("command, inputs, unloaded, output", [
+    ("analyze", ["--traces", "tests/fixtures/traces", "--labels", "tests/fixtures/labels.csv", "--records",
+                 "tests/fixtures/records.csv"], ("sequencer_sim", "split_optimizer", "failure_models"),
+     "classifications.jsonl"),
+    ("optimize", ["--config", "configs/optimize_worked.json"], ("sequencer_sim",), "plan.json"),
+], ids=["analyze", "optimize"])
+def test_cold_call_imports_no_numpy(tmp_path, command, inputs, unloaded, output):
+    root = pathlib.Path(__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(splitmev.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", COLD_ANALYZE, *args], env=env, capture_output=True, text=True)
+    args = ["--quiet", command, *inputs, "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL, *args], cwd=root, env=env, capture_output=True, text=True)
     assert proc.stderr == ""
-    code, after_import, after_analyze = proc.stdout.splitlines()
+    code, after_import, after_call = proc.stdout.splitlines()
     assert code == "0"
     assert "numpy" not in after_import.split()
-    assert "numpy" not in after_analyze.split()
-    for name in ("sequencer_sim", "split_optimizer", "failure_models"):
-        assert f"splitmev.{name}" not in after_analyze.split()
-    assert (tmp_path / "classifications.jsonl").stat().st_size > 0
+    assert "numpy" not in after_call.split()
+    for name in unloaded:
+        assert f"splitmev.{name}" not in after_call.split()
+    assert (tmp_path / output).stat().st_size > 0
 
 
 def test_star_import_binds_every_modules_all():

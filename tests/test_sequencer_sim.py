@@ -499,11 +499,11 @@ names = st.one_of(st.text(st.sampled_from(NAME_CHARS), max_size=6), st.text(max_
 
 @st.composite
 def sim_configs(draw):
-    """Small configs: 1-4 bots of any strategy, jittered or not, either
+    """Small configs: 1-4 distinctly named bots of any strategy, jittered or not, either
     ordering, a batch window that may be zero, fees that may be zero."""
     bots = tuple(
         BotSpec(
-            name=draw(names),
+            name=name,
             strategy=draw(st.sampled_from(STRATEGIES)),
             trade_size=draw(st.floats(0.5, 200.0)),
             n_chunks=draw(st.integers(1, 3)),
@@ -513,7 +513,7 @@ def sim_configs(draw):
             latency_jitter=draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5))),
             slippage_tolerance=draw(st.floats(0.0, 0.05)),
         )
-        for _ in range(draw(st.integers(1, 4)))
+        for name in draw(st.lists(names, min_size=1, max_size=4, unique=True))
     )
     block_time = draw(st.sampled_from([0.1, 0.25, 1.0]))
     return SimConfig(
