@@ -162,6 +162,20 @@ def cmd_simulate(args, out_dir: Path):
         yield sub, {"config": str(config_path)}, hashlib.sha256(raw), progress
 
 
+# a classification line as json.dumps({"tx_hash": ..., **vars(cls)}, sort_keys=True) writes it
+_SWAP_LINE = '{"dex": %s, "evidence": [%s], "is_swap": true, "pair": %s, "pool": %s, "tx_hash": %s}\n'
+_NON_SWAP_LINE = '{"dex": null, "evidence": [], "is_swap": false, "pair": null, "pool": null, "tx_hash": %s}\n'
+
+
+def _classification_line(tx_hash: str, cls) -> str:
+    """The ``classifications.jsonl`` line of one classified tree: a non-swap is
+    ``classify_swap``'s one constant, so only its hash is encoded."""
+    if not cls.is_swap:
+        return _NON_SWAP_LINE % _encode_str(tx_hash)
+    evidence = ", ".join(map(_encode_str, cls.evidence))
+    return _SWAP_LINE % (_encode_str(cls.dex), evidence, _encode_str(cls.pair), _encode_str(cls.pool), _encode_str(tx_hash))
+
+
 def cmd_analyze(args, out_dir: Path):
     from .fee_accounting import position_histogram, priority_fee_distribution, read_records_csv
     from .fee_accounting import revert_differential, revert_stats
@@ -178,16 +192,15 @@ def cmd_analyze(args, out_dir: Path):
     del text
     by_hash = {r.tx_hash: r for r in records}
 
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps would build one per row
     classified = []
     lines = []
     swaps = 0
     for path in _json_files(args.traces):
         tx_hash = path.stem
         record = by_hash.get(tx_hash)
-        for graph in load_trace_file(path):
+        for graph in load_trace_file(path, labels):  # a label's address was checked as it was read
             cls = classify_swap(graph, labels)
-            lines.append(encode({"tx_hash": tx_hash, **vars(cls)}) + "\n")  # the evidence tuple: a JSON array
+            lines.append(_classification_line(tx_hash, cls))
             swaps += cls.is_swap
             if record is not None:
                 classified.append((cls, record))

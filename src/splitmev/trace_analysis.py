@@ -74,9 +74,11 @@ class ExecutionGraph:
     root: str
 
 
-def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
+def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
     """Validate a decoded call tree and collect its graph, in one pre-order
-    pass that checks each distinct address string once."""
+    pass that checks each distinct address string once. ``checked`` holds
+    addresses already checked and lowercase (a label table's keys): a raw
+    address found there is taken as it is."""
     memo: dict[str, str] = {}  # raw address -> its checked lowercase form
     edges: list[Edge] = []
     # (frame, where: the root's path or (the parent's where, child index),
@@ -99,9 +101,9 @@ def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
             raise TraceParseError(f"{_path(where)}: children must be a list, got {children!r}")
         try:
             addr = d["from_address"]
-            caller = memo.get(addr) or memo.setdefault(addr, _address(addr, "address"))
+            caller = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else _address(addr, "address"))
             addr = d["to_address"]
-            callee = memo.get(addr) or memo.setdefault(addr, _address(addr, "address"))
+            callee = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else _address(addr, "address"))
         except KeyError as exc:
             raise TraceParseError(f"{_path(where)}: missing field {exc}") from exc
         except TypeError:  # an unhashable JSON array or object
@@ -113,7 +115,8 @@ def build_graph(tree: dict, path: str = "root") -> ExecutionGraph:
         if level > MAX_CALL_DEPTH:
             raise TraceParseError(f"{_path(where)}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
         selector = d.get("selector")
-        edges.append(Edge(caller, callee, str(selector).lower() if selector else None, kind))
+        # tuple.__new__ skips the Python-level Edge.__new__ a named tuple's constructor runs
+        edges.append(tuple.__new__(Edge, (caller, callee, str(selector).lower() if selector else None, kind)))
         if children:
             level += 1
             for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
@@ -154,6 +157,9 @@ class SwapClassification:
     pool: str | None = None
     pair: str | None = None
     evidence: tuple[str, ...] = ()
+
+
+_NOT_A_SWAP = SwapClassification(is_swap=False)  # frozen: one instance serves every non-swap
 
 
 def classify_swap(graph: ExecutionGraph, labels: dict[str, LabelEntry]) -> SwapClassification:
@@ -209,7 +215,7 @@ def classify_swap(graph: ExecutionGraph, labels: dict[str, LabelEntry]) -> SwapC
             evidence=tuple(evidence),
         )
 
-    return SwapClassification(is_swap=False)
+    return _NOT_A_SWAP
 
 
 def identify_bots(records: list[TxRecord], labels: dict[str, LabelEntry], min_count: int) -> set[str]:
@@ -264,14 +270,16 @@ _PY_DECODER.scan_once = py_make_scanner(_PY_DECODER)
 
 def _documents(text: str, decoder: json.JSONDecoder) -> list:
     """The documents of a stripped trace text: one JSON value (a list gives
-    its items), else one per nonblank line. Line 1 is decoded once."""
+    its items), else one per nonblank line. Lines break at ``\n``, ``\r\n`` and
+    ``\r`` only: ``str.splitlines`` also breaks at characters, such as U+2028,
+    that JSON allows raw inside a string. Line 1 is decoded once."""
     try:
         doc, end = decoder.raw_decode(text)
     except json.JSONDecodeError:
         doc, end = [], 0  # an empty text has no documents
     if end == len(text):
         return doc if isinstance(doc, list) else [doc]
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line.strip()]
     # the first document is line 1's when nothing but blanks follows it there
     docs = [doc] if 0 < end <= len(lines[0]) and not lines[0][end:].strip(" \t") else []
     for line in lines[len(docs):]:
@@ -281,9 +289,10 @@ def _documents(text: str, decoder: json.JSONDecoder) -> list:
     return docs
 
 
-def load_trace_file(path) -> list[ExecutionGraph]:
+def load_trace_file(path, checked=()) -> list[ExecutionGraph]:
     """Read one trace JSON file, either a single call tree or JSON lines
-    with one tree per line, and build the execution graph of each tree."""
+    with one tree per line, and build the execution graph of each tree;
+    ``checked`` is ``build_graph``'s."""
     text = read_input(path, TraceParseError)[0].strip()
     try:
         try:
@@ -302,4 +311,4 @@ def load_trace_file(path) -> list[ExecutionGraph]:
                 sys.setrecursionlimit(limit)
     except (json.JSONDecodeError, RecursionError) as exc:  # not JSON (lines), or nested too deeply
         raise TraceParseError(f"{path}: {exc}") from exc
-    return [build_graph(d, f"{path}[{i}]") for i, d in enumerate(docs)]
+    return [build_graph(d, f"{path}[{i}]", checked) for i, d in enumerate(docs)]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import splitmev
 from splitmev import ConfigError, NoRootError, __version__, cli
 from splitmev.cli import _json_text, _parse, build_parser, main
+from splitmev.trace_analysis import SwapClassification, build_graph, classify_swap
 
 OPTIMIZE_CONFIG = {
     "version": 1,
@@ -478,6 +479,28 @@ def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee01",
         "0xeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee02",
     ]
+
+
+# quotes, backslashes, control and non-ASCII characters, and lone surrogates
+LINE_TEXT = st.text(st.one_of(st.sampled_from('"\\\n'), st.characters(), st.integers(0xD800, 0xDFFF).map(chr)))
+
+
+@st.composite
+def classifications(draw):
+    """A swap with drawn fields (the pair may be empty), or classify_swap's non-swap."""
+    if draw(st.booleans()):
+        address = "0x" + "a" * 40
+        return classify_swap(build_graph({"from_address": address, "to_address": address}), {})
+    return SwapClassification(is_swap=True, dex=draw(LINE_TEXT), pool=draw(LINE_TEXT), pair=draw(LINE_TEXT),
+                              evidence=tuple(draw(st.lists(LINE_TEXT, max_size=3))))
+
+
+@settings(max_examples=300)
+@given(LINE_TEXT, classifications())
+@example("0x\u00e9\ud800", SwapClassification(True, 'uni"swap\\_v3', "0x" + "b" * 40, "", ("edge 0: \u20ae\udfff",)))
+def test_classification_line_is_the_json_dumps_line(tx_hash, cls):
+    # a field added to SwapClassification appears in vars(cls), and in no line template
+    assert cli._classification_line(tx_hash, cls) == json.dumps({"tx_hash": tx_hash, **vars(cls)}, sort_keys=True) + "\n"
 
 
 def test_analyze_reads_each_input_once(tmp_path, fixtures_dir, monkeypatch):

@@ -171,6 +171,9 @@ ONE = json.dumps(frame("0x" + "a" * 40, "0x" + "b" * 40))
         pytest.param(ONE + "\n" + ONE + " x\n", "Extra data: line 1 column", id="junk-after-line-2"),
         pytest.param(ONE + "\n\ufeff" + ONE + "\n", r"Unexpected UTF-8 BOM \(decode using utf-8-sig\)", id="bom-on-line-2"),
         pytest.param("\ufeff" + ONE, r"Unexpected UTF-8 BOM \(decode using utf-8-sig\)", id="bom"),
+        # a JSON-lines file breaks at \n, \r\n and \r only
+        pytest.param(ONE + "\x0c" + ONE + "\n", "Extra data: line 1 column", id="form-feed-between"),
+        pytest.param(ONE + "\u2028" + ONE + "\n", "Extra data: line 1 column", id="line-separator-between"),
     ],
 )
 def test_load_trace_file_input_errors(tmp_path, text, message):
@@ -253,6 +256,10 @@ def test_deep_chain_falls_back_to_the_python_scanner(tmp_path, fixtures_dir, mon
         pytest.param(ONE + " \t\n\n" + ONE + "\r\n" + ONE + "\n", [1, 1, 1], id="jsonl-blanks"),
         pytest.param(json.dumps([json.loads(ONE), json.loads(ONE)]), [1, 1], id="array"),
         pytest.param("\n  " + ONE + "  \n", [1], id="padded"),
+        # JSON allows U+2028 and U+0085 raw in a string; str.splitlines breaks at them
+        pytest.param(json.dumps({**json.loads(ONE), "note": "a\u2028b"}, ensure_ascii=False) + "\r"
+                     + json.dumps({**json.loads(ONE), "note": "\x85"}, ensure_ascii=False) + "\n", [1, 1],
+                     id="unicode-line-breaks-in-strings"),
     ],
 )
 def test_load_trace_file_layouts(tmp_path, text, edges):
@@ -404,6 +411,35 @@ def test_build_graph_faults_match_recursive_reference(tree, fault, data):
     with pytest.raises(TraceParseError) as info:
         build_graph(box[0])
     assert str(info.value) == expected
+
+
+def fault_trees():
+    """A valid call tree, or one with a fault of ``FAULTS`` at one frame."""
+
+    @st.composite
+    def faulty(draw):
+        box = [draw(call_trees(0, 3))]
+        victim, holder, key, _ = draw(st.sampled_from(slots(box[0], box, 0)))
+        fault = draw(st.sampled_from(sorted(k for k in FAULTS if FAULTS[k] is not None)))
+        holder[key] = FAULTS[fault](victim)
+        return box[0]
+
+    return st.one_of(call_trees(0, 3), faulty())
+
+
+@settings(max_examples=300)
+@given(fault_trees(), st.sets(ADDRESSES.map(str.lower)))
+def test_checked_addresses_change_no_graph_or_error(tree, labels):
+    # a label address is taken as it is; its mixed-case twin (0xDDD...) still goes through the check
+    labels = dict.fromkeys(labels)
+    try:
+        expected = build_graph(tree, "t")
+    except TraceParseError as exc:
+        with pytest.raises(TraceParseError) as info:
+            build_graph(tree, "t", checked=labels)
+        assert str(info.value) == str(exc)
+    else:
+        assert build_graph(tree, "t", checked=labels) == expected
 
 
 def test_mixed_case_repeats_are_one_node():
