@@ -122,7 +122,6 @@ class SimConfig:
 
 class SimTx(NamedTuple):
     bot_id: int
-    submit_time: float
     arrival_time: float
     size: float
     priority_fee: float
@@ -250,7 +249,7 @@ def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.
     for t_k in opportunities:
         for bot_id, bot, size, min_out in orders:
             latency = bot.latency_mean + next(draws) if bot.latency_jitter > 0 else bot.latency_mean
-            txs.append(SimTx(bot_id, t_k, t_k + latency, size, bot.priority_fee, len(txs), min_out))
+            txs.append(SimTx(bot_id, t_k + latency, size, bot.priority_fee, len(txs), min_out))
     return txs
 
 
@@ -289,7 +288,7 @@ def run(config: SimConfig) -> SimReport:
             opp, pool = key[1], config.pool
         for tx in order_batch(batch, policy):
             success, payout, pool = execute_tx(pool, tx)
-            bot_id, _, arrival, size, fee, seq, _ = tx
+            bot_id, arrival, size, fee, seq, _ = tx
             if success:
                 status, profit = "success", payout - cex * size - gas
             else:

@@ -3,9 +3,9 @@ transactions.
 
 Reverted transactions emit no event logs, so classification works purely
 on the call tree. ``build_graph`` validates a decoded tree while it
-collects the graph of addresses and call edges, rejecting inexact
-addresses and calls more than ``MAX_CALL_DEPTH`` deep; ``load_trace_file``
-returns one graph per tree in a file. ``classify_swap`` matches nodes
+collects its call edges, rejecting inexact addresses and calls more than
+``MAX_CALL_DEPTH`` deep; ``load_trace_file`` returns one graph per tree in
+a file. ``classify_swap`` matches callees
 against a per-chain label library. v2/v3 swaps are recognized by a call
 into a labeled pool; v4 routes everything through a single pool manager,
 so recognition additionally requires call/staticcall probes into at least
@@ -21,7 +21,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from json.scanner import py_make_scanner
-from typing import NamedTuple
 
 from .config import SchemaError, TraceParseError, read_input
 from .fee_accounting import TxRecord, _address, _csv_records
@@ -57,30 +56,23 @@ def _path(where) -> str:
     return where + "".join(reversed(steps))
 
 
-class Edge(NamedTuple):
-    caller: str
-    callee: str
-    selector: str | None
-    call_kind: str
-
-
 @dataclass(frozen=True)
 class ExecutionGraph:
-    """Addresses and call edges of one transaction, edges in trace
-    pre-order (a multiset: duplicate calls are kept)."""
+    """The ``(callee, call_kind)`` call edges of one transaction, in trace
+    pre-order (a multiset: duplicate calls are kept); the root is
+    ``edges[0][0]``."""
 
-    nodes: frozenset[str]
-    edges: tuple[Edge, ...]
-    root: str
+    edges: tuple[tuple[str, str], ...]
 
 
 def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
     """Validate a decoded call tree and collect its graph, in one pre-order
-    pass that checks each distinct address string once. ``checked`` holds
-    addresses already checked and lowercase (a label table's keys): a raw
-    address found there is taken as it is."""
+    pass that checks each distinct address string once, the caller's too,
+    though only the callee is kept (``selector`` is ignored). ``checked``
+    holds addresses already checked and lowercase (a label table's keys): a
+    raw address found there is taken as it is."""
     memo: dict[str, str] = {}  # raw address -> its checked lowercase form
-    edges: list[Edge] = []
+    edges: list[tuple[str, str]] = []
     # (frame, where: the root's path or (the parent's where, child index),
     #  the parent's depth or None at the root, calls below the root)
     stack = [(tree, path, None, 0)]
@@ -100,8 +92,9 @@ def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
         if not isinstance(children, list):
             raise TraceParseError(f"{_path(where)}: children must be a list, got {children!r}")
         try:
-            addr = d["from_address"]
-            caller = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else _address(addr, "address"))
+            addr = d["from_address"]  # checked, not kept
+            if addr not in memo:
+                memo[addr] = addr if addr in checked else _address(addr, "address")
             addr = d["to_address"]
             callee = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else _address(addr, "address"))
         except KeyError as exc:
@@ -114,14 +107,12 @@ def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
             raise TraceParseError(f"{_path(where)}: depth {depth} != parent depth + 1")
         if level > MAX_CALL_DEPTH:
             raise TraceParseError(f"{_path(where)}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
-        selector = d.get("selector")
-        # tuple.__new__ skips the Python-level Edge.__new__ a named tuple's constructor runs
-        edges.append(tuple.__new__(Edge, (caller, callee, str(selector).lower() if selector else None, kind)))
+        edges.append((callee, kind))
         if children:
             level += 1
             for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
                 stack.append((children[i], (where, i), depth, level))
-    return ExecutionGraph(nodes=frozenset(memo.values()), edges=tuple(edges), root=edges[0].callee)
+    return ExecutionGraph(tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -174,15 +165,15 @@ def classify_swap(graph: ExecutionGraph, labels: dict[str, LabelEntry]) -> SwapC
     manager_hits: list[tuple[int, LabelEntry]] = []
     token_hits: dict[str, int] = {}
 
-    for i, edge in enumerate(graph.edges):
-        entry = labels.get(edge.callee)  # graph and label addresses are both lowercase
+    for i, (callee, call_kind) in enumerate(graph.edges):
+        entry = labels.get(callee)  # graph and label addresses are both lowercase
         if entry is None:
             continue
-        if entry.kind in POOL_KINDS and edge.call_kind == "call":
+        if entry.kind in POOL_KINDS and call_kind == "call":
             pool_hits.append((i, entry))
         elif entry.kind == "pool_manager_v4":
             manager_hits.append((i, entry))
-        elif entry.kind == "token" and edge.call_kind in ("call", "staticcall"):
+        elif entry.kind == "token" and call_kind in ("call", "staticcall"):
             token_hits.setdefault(entry.address, i)
 
     if pool_hits:
@@ -270,7 +261,8 @@ _PY_DECODER.scan_once = py_make_scanner(_PY_DECODER)
 
 def _documents(text: str, decoder: json.JSONDecoder) -> list:
     """The documents of a stripped trace text: one JSON value (a list gives
-    its items), else one per nonblank line. Lines break at ``\n``, ``\r\n`` and
+    its items), else one per line not blank (of spaces and tabs only, as
+    JSON's whitespace within a line). Lines break at ``\n``, ``\r\n`` and
     ``\r`` only: ``str.splitlines`` also breaks at characters, such as U+2028,
     that JSON allows raw inside a string. Line 1 is decoded once."""
     try:
@@ -279,7 +271,7 @@ def _documents(text: str, decoder: json.JSONDecoder) -> list:
         doc, end = [], 0  # an empty text has no documents
     if end == len(text):
         return doc if isinstance(doc, list) else [doc]
-    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line.strip()]
+    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line.strip(" \t")]
     # the first document is line 1's when nothing but blanks follows it there
     docs = [doc] if 0 < end <= len(lines[0]) and not lines[0][end:].strip(" \t") else []
     for line in lines[len(docs):]:
@@ -293,7 +285,7 @@ def load_trace_file(path, checked=()) -> list[ExecutionGraph]:
     """Read one trace JSON file, either a single call tree or JSON lines
     with one tree per line, and build the execution graph of each tree;
     ``checked`` is ``build_graph``'s."""
-    text = read_input(path, TraceParseError)[0].strip()
+    text = read_input(path, TraceParseError)[0].strip(" \t\n\r")  # JSON's whitespace only
     try:
         try:
             docs = _documents(text, _DECODER)

@@ -29,7 +29,6 @@ POOL = PoolState(1000.0, 2000.0, 0.003)
 def sim_tx(seq, arrival, fee=0.0, size=10.0, min_out=0.0, bot_id=0):
     return SimTx(
         bot_id=bot_id,
-        submit_time=0.0,
         arrival_time=arrival,
         size=size,
         priority_fee=fee,
@@ -471,7 +470,7 @@ def scalar_draw_txs(config, opportunities, rng):
                     latency = bot.latency_mean + rng.exponential(bot.latency_jitter)
                 else:
                     latency = bot.latency_mean
-                txs.append(SimTx(bot_id, t_k, t_k + latency, size, bot.priority_fee, len(txs), min_out))
+                txs.append(SimTx(bot_id, t_k + latency, size, bot.priority_fee, len(txs), min_out))
     return txs
 
 
