@@ -150,17 +150,21 @@ def cmd_simulate(args, out_dir: str):
 
     runs = [(args.config, out_dir)]
     if args.config.is_dir():
-        runs = [(path, _join(out_dir, stem)) for stem, path in _json_files(str(args.config))]
+        files = _json_files(str(args.config))
+        for stem, path in files:  # before any scenario runs: a refused name writes nothing
+            if stem in (".", ".."):  # its subdirectory would be --out itself, or its parent
+                raise ConfigError(f"{path}: the scenario name {stem!r} names no subdirectory of the output directory")
+        runs = [(path, _join(out_dir, stem)) for stem, path in files]
         if not runs:
             raise ConfigError(f"{args.config}: no *.json scenario configs found")
     for config_path, sub in runs:
-        Path(sub).mkdir(parents=True, exist_ok=True)
         config, raw = _load_config(config_path, SimConfig.from_dict)
         if args.seed_override is not None:
             config = dataclasses.replace(config, seed=args.seed_override)
         report = run(config)
         metrics = summarize(report)
 
+        Path(sub).mkdir(parents=True, exist_ok=True)  # only for a scenario that ran: a failed one leaves none
         _write(_join(sub, "report.json"), report.to_json(), "\n")
         del report  # not held while the next scenario runs
         _write_json(_join(sub, "metrics.json"), metrics)

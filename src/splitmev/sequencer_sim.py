@@ -15,7 +15,9 @@ reverted AMM leg strands inventory at the liquidation penalty. Gas is a
 flat per-attempt overhead.
 
 ``SimTx`` and ``TxOutcome`` are ``NamedTuple``s: the hot loop builds one of
-each per transaction, and a tuple costs a fraction of a frozen dataclass.
+each per transaction, and a tuple costs a fraction of a frozen dataclass. It
+builds them with ``tuple.__new__``, without the Python frame of the
+generated ``__new__``, so nothing there checks a row's arity: the tests do.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, takewhile
 from operator import attrgetter
@@ -173,24 +175,25 @@ class SimReport:
     def to_json(self) -> str:
         """The report as ``json.dumps(..., sort_keys=True)`` writes it, compact.
 
-        Each row fills the template of its ``_ROW_KEY`` with its other
-        fields. Rows whose key fields compare equal, as all rows of one of
-        ``run``'s (bot, size) orders and status do, share a template, so 0.0
-        and -0.0, or 1 and 1.0, are written as the first row has them
-        (``run`` never mixes them within an order). ``%r`` writes an int or
-        a finite float as ``json.dumps`` does. A value field of another type (a bool or a
-        numpy value), or value fields whose sum is not a finite ``float`` (an infinite or
-        NaN value, or an int beyond the float range), send every row through ``json.dumps``."""
+        The templates of the rows' ``_ROW_KEY``s, joined, are filled with
+        every row's other fields in one ``%``. Rows whose key fields compare
+        equal, as all rows of one of ``run``'s (bot, size) orders and status
+        do, share a template, so 0.0 and -0.0, or 1 and 1.0, are written as
+        the first row has them (``run`` never mixes them within an order).
+        ``%r`` writes an int or a finite float as ``json.dumps`` does. A value
+        field of another type (a bool or a numpy value), or value fields whose
+        sum is not a finite ``float`` (an infinite or NaN value, or an int
+        beyond the float range), send every row through ``json.dumps``."""
         keys = list(map(_ROW_KEY, self.outcomes))
-        values = list(map(_ROW_VALUES, self.outcomes))
-        numbers = {*map(type, chain.from_iterable(values))} <= {int, float}  # no bool, no numpy value
+        values = tuple(chain.from_iterable(map(_ROW_VALUES, self.outcomes)))
+        numbers = {*map(type, values)} <= {int, float}  # no bool, no numpy value
         try:
-            total = sum(chain.from_iterable(values)) if numbers else None
+            total = sum(values) if numbers else None
         except OverflowError:  # an int beyond the float range
             total = None
         if type(total) is float and math.isfinite(total):
             templates = {key: _row_template(key) for key in set(keys)}
-            rows = ",".join(map(str.__mod__, map(templates.__getitem__, keys), values))
+            rows = ",".join(map(templates.__getitem__, keys)) % values  # every row in one fill
         else:
             rows = ",".join(_dumps(o._asdict()) for o in self.outcomes)
         return '{"num_blocks":%s,"outcomes":[%s],"per_bot_profit":%s,"seed":%s}' % (
@@ -230,7 +233,8 @@ def _opportunity_times(config: SimConfig) -> list[float]:
 def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.Generator) -> list[SimTx]:
     # every opportunity starts from the fresh pool, so a bot's quote for a
     # size is the same each time: quote each distinct (bot, size) once
-    orders = []  # (bot_id, bot, size, min_out) in submission order within an opportunity
+    # (bot_id, latency_mean, jittered, size, priority_fee, min_out) in submission order within an opportunity
+    orders = []
     for bot_id, bot in enumerate(config.bots):
         # bot demands at least the fresh-pool quote net of its slippage
         # tolerance, and never less than CEX break-even
@@ -238,18 +242,19 @@ def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.
             size: max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
             for size in dict.fromkeys(bot.tx_sizes())
         }
-        orders += [(bot_id, bot, size, min_out[size]) for size in bot.tx_sizes()]
+        mean, jittered, fee = bot.latency_mean, bot.latency_jitter > 0, bot.priority_fee
+        orders += [(bot_id, mean, jittered, size, fee, min_out[size]) for size in bot.tx_sizes()]
 
     # exponential jitter: nonnegative, no pile-up at zero. One draw per
     # jittered transaction in submission order, all in one call: the same
     # values as one scalar draw per transaction
-    scales = [bot.latency_jitter for _, bot, _, _ in orders if bot.latency_jitter > 0]
+    scales = [bot.latency_jitter for bot in config.bots if bot.latency_jitter > 0 for _ in bot.tx_sizes()]
     draws = iter(rng.exponential(scales * len(opportunities)).tolist())
     txs: list[SimTx] = []
     for t_k in opportunities:
-        for bot_id, bot, size, min_out in orders:
-            latency = bot.latency_mean + next(draws) if bot.latency_jitter > 0 else bot.latency_mean
-            txs.append(SimTx(bot_id, t_k + latency, size, bot.priority_fee, len(txs), min_out))
+        for bot_id, latency, jittered, size, fee, min_out in orders:
+            arrival = t_k + (latency + next(draws) if jittered else latency)
+            txs.append(tuple.__new__(SimTx, (bot_id, arrival, size, fee, len(txs), min_out)))
     return txs
 
 
@@ -265,13 +270,13 @@ def run(config: SimConfig) -> SimReport:
     bt = config.block_time
     bw = bt if config.batch_window is None else config.batch_window
     policy = "fcfs" if bw <= 0 else config.ordering
-    batches: dict[tuple[int, int, int], list[SimTx]] = {}
+    batches: dict[tuple[int, int, int], list[SimTx]] = defaultdict(list)
     try:
         for tx in txs:
             t = tx.arrival_time
             block = int(t // bt) + 1
             window = int((t - (block - 1) * bt) // bw) if bw > 0 else 0
-            batches.setdefault((block, bisect_right(opportunities, t), window), []).append(tx)
+            batches[block, bisect_right(opportunities, t), window].append(tx)
     except (OverflowError, ValueError):  # int() of an infinite or NaN block or window number
         raise NoRootError(f"arrival time {t} has no block: the simulator's arithmetic has left the float range")
 
@@ -295,7 +300,8 @@ def run(config: SimConfig) -> SimReport:
                 status, profit = "reverted", -cex * size - penalty - gas
             name = names[bot_id]
             per_bot[name] += profit
-            outcomes.append(TxOutcome(bot_id, name, seq, block, position, status, size, fee, arrival, payout, profit))
+            row = (bot_id, name, seq, block, position, status, size, fee, arrival, payout, profit)
+            outcomes.append(tuple.__new__(TxOutcome, row))
             position += 1
     for name, total in per_bot.items():  # a non-finite profit makes its bot's total non-finite
         if not math.isfinite(total):

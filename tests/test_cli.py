@@ -1004,7 +1004,37 @@ def test_simulate_directory_failure_keeps_earlier_scenarios(tmp_path, capsys):
     assert sorted(p.name for p in (out / "a").iterdir()) == [
         "manifest.json", "metrics.json", "per_bot_profit.csv", "report.json", "revert_position_histogram.csv"
     ]
-    assert list((out / "b").iterdir()) == [] and not (out / "c").exists()
+    assert not (out / "b").exists() and not (out / "c").exists()
+
+
+def test_simulate_directory_anomaly_leaves_no_directory(tmp_path, capsys):
+    # "b" exits 3 once it has run, before any output of its own is written
+    configs = tmp_path / "scenarios"
+    configs.mkdir()
+    write_json(configs / "a.json", SIM_CONFIG)
+    write_json(configs / "b.json", edited(SIM_CONFIG, bots=[dict(BOT, latency_mean=1.7e308)]))
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(configs), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical anomaly: arrival time 1.7e+308 has no block")
+    assert sorted(p.name for p in out.iterdir()) == ["a"]
+    assert len(list((out / "a").iterdir())) == 5
+
+
+@pytest.mark.parametrize("beside", [(), ("a.json",)])
+@pytest.mark.parametrize("name, stem", [("..json", "."), ("...json", "..")])
+def test_simulate_refuses_dot_scenario_names(tmp_path, capsys, name, stem, beside):
+    # the stem of "..json" is ".", of "...json" "..": its outputs would land in --out itself, or
+    # in its parent; refused before any scenario of the directory runs, so nothing is written
+    configs = tmp_path / "scenarios"
+    configs.mkdir()
+    for scenario in (name, *beside):
+        write_json(configs / scenario, SIM_CONFIG)
+    work = tmp_path / "work"
+    assert main(["simulate", "--config", str(configs), "--out", str(work / "out")]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {configs / name}: the scenario name {stem!r} names no subdirectory of the output directory\n"
+    ))
+    assert [p.name for p in work.iterdir()] == ["out"] and list((work / "out").iterdir()) == []
 
 
 def optimize_into(tmp_path, cfg, out) -> int:

@@ -453,6 +453,19 @@ def test_reports_match_golden_digests(scenarios_dir):
         assert digest == GOLDEN_REPORTS[name], name
 
 
+def test_rows_are_whole_tuples(scenarios_dir):
+    # run and _generate_txs build their rows with tuple.__new__, which checks
+    # no arity: a field added to SimTx or TxOutcome must be filled there too
+    configs = [SimConfig.from_dict(json.loads(p.read_text())) for p in sorted(scenarios_dir.glob("*.json"))]
+    for config in [*configs, JITTERED]:
+        opportunities = _opportunity_times(config)
+        txs = sequencer_sim._generate_txs(config, opportunities, np.random.default_rng(config.seed))
+        outcomes = run(config).outcomes
+        assert txs and outcomes
+        assert all(type(t) is SimTx and len(t) == len(SimTx._fields) for t in txs)
+        assert all(type(o) is TxOutcome and len(o) == len(TxOutcome._fields) for o in outcomes)
+
+
 # Reference implementations: the transaction generator and the report
 # encoder as they were before the simulator moved to tuples. run and to_json
 # must give the same report.json bytes.
