@@ -11,10 +11,10 @@ unwritable output; 3 numerical anomaly (no interior root, a non-finite
 threshold or profit, a simulated arrival time with no finite block number,
 or a simulated profit that is not finite).
 
-``main`` parses an argv once: a canonical one, ``[--quiet] <subcommand>`` then
-``--option value`` pairs, from a table of the subcommand's options; any other
-through the full parser, for its usage lines, errors and exit codes. No path, nor
-``SPLITMEV_OUT``, may be empty. Paths are joined and listed as plain strings.
+The options are one table, ``_SUBCOMMANDS``. ``main`` parses an argv once: a canonical one,
+``[--quiet] <subcommand>`` then ``--option value`` pairs, from that table; any other through the
+argparse parser built from it, for its usage lines, errors and exit codes. Every path, ``SPLITMEV_OUT``
+too, is a nonempty string as pathlib writes it (``a//b/`` is ``a/b``), joined and listed as a string.
 
 Importing this module loads ``config`` alone: each subcommand imports its own
 modules when it runs, so only ``simulate``, for its PCG64 draws, loads numpy.
@@ -142,15 +142,15 @@ def cmd_optimize(args, out_dir: str):
     _write_json(_join(out_dir, "plan.json"), vars(result))
     _write_csv(_join(out_dir, "profit_curve.csv"), ["n", "expected_total_profit"], curve)
     progress = f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}"
-    yield out_dir, {"config": str(args.config)}, hashlib.sha256(raw), progress
+    yield out_dir, {"config": args.config}, hashlib.sha256(raw), progress
 
 
 def cmd_simulate(args, out_dir: str):
     from .sequencer_sim import SimConfig, run, summarize
 
     runs = [(args.config, out_dir)]
-    if args.config.is_dir():
-        files = _json_files(str(args.config))
+    if os.path.isdir(args.config):
+        files = _json_files(args.config)
         for stem, path in files:  # before any scenario runs: a refused name writes nothing
             if stem in (".", ".."):  # its subdirectory would be --out itself, or its parent
                 raise ConfigError(f"{path}: the scenario name {stem!r} names no subdirectory of the output directory")
@@ -172,7 +172,7 @@ def cmd_simulate(args, out_dir: str):
         _write_csv(_join(sub, "revert_position_histogram.csv"), ["position", "count"], histogram)
         _write_csv(_join(sub, "per_bot_profit.csv"), ["bot", "profit"], sorted(metrics["per_bot_profit"].items()))
         progress = f"{os.path.basename(config_path)}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}"
-        yield sub, {"config": str(config_path)}, hashlib.sha256(raw), progress
+        yield sub, {"config": config_path}, hashlib.sha256(raw), progress
 
 
 # a classification line as json.dumps({"tx_hash": ..., **vars(cls)}, sort_keys=True) writes it
@@ -208,7 +208,7 @@ def cmd_analyze(args, out_dir: str):
     classified = []
     lines = []
     swaps = 0
-    for tx_hash, path in _json_files(str(args.traces)):
+    for tx_hash, path in _json_files(args.traces):
         record = by_hash.get(tx_hash)
         for graph in load_trace_file(path, labels):  # a label's address was checked as it was read
             cls = classify_swap(graph, labels)
@@ -251,7 +251,7 @@ def cmd_analyze(args, out_dir: str):
     bots = sorted(identify_bots(records, labels, args.min_bot_reverts))
     _write_csv(_join(out_dir, "bots.csv"), ["address"], [(a,) for a in bots])
 
-    inputs = {"traces": str(args.traces), "labels": str(args.labels), "records": str(args.records)}
+    inputs = {"traces": args.traces, "labels": args.labels, "records": args.records}
     progress = f"classified {len(lines)} traces ({swaps} swaps)"
     yield out_dir, inputs, digest, progress
 
@@ -267,46 +267,46 @@ def _int_at_least(lowest: int, text: str) -> int:
     return value
 
 
-def _path(text: str) -> Path:
+def _path(text: str) -> str:
+    """``str(Path(text))``: ``a//b/`` is ``a/b``. A text with no empty or ``.`` component past a leading root
+    is returned as it is: through ``str(Path(...))``, each path costs a canonical ``_parse`` about 1 µs more."""
     if not text:  # Path("") is the working directory
         raise argparse.ArgumentTypeError("empty path")
-    return Path(text)
+    return str(Path(text)) if "//" in text or "/./" in text or text.endswith(("/", "/.")) or text[:2] == "./" else text
+
+
+# per subcommand: its command, its help and, in usage order, each one-value option's type, default and required
+_PATH, _REQUIRED_PATH = (_path, None, False), (_path, None, True)
+_SUBCOMMANDS = {
+    "optimize": (cmd_optimize, "compute the optimal trade split", {"--config": _REQUIRED_PATH, "--out": _PATH}),
+    "simulate": (cmd_simulate, "run a sequencer scenario (file or directory)", {
+        "--config": _REQUIRED_PATH, "--out": _PATH, "--seed-override": (functools.partial(_int_at_least, 0), None, False)}),
+    "analyze": (cmd_analyze, "classify traces and compute fee statistics", {
+        "--traces": _REQUIRED_PATH, "--labels": _REQUIRED_PATH, "--records": _REQUIRED_PATH, "--out": _PATH,
+        "--min-bot-reverts": (functools.partial(_int_at_least, 1), 10, False)}),
+}
+# what _parse reads, per subcommand: each option's dest (as argparse derives it) and type; the defaults; the required dests
+_CANONICAL = {}
+for _name, (_command, _help, _options) in _SUBCOMMANDS.items():
+    _rows = [(option, option[2:].replace("-", "_"), *spec) for option, spec in _options.items()]
+    _CANONICAL[_name] = ({option: (dest, kind) for option, dest, kind, _, _ in _rows},
+                         {"command": _command, **{dest: default for _, dest, _, default, _ in _rows}},
+                         {dest for _, dest, _, _, required in _rows if required})
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[dict, dict, set]]]:
-    """The CLI parser, built once per process (building costs about eight times what parsing does),
-    and per subcommand, from its actions: one-value options by spelling, defaults, required dests."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, built from ``_SUBCOMMANDS`` once per process (building costs about eight
+    times what parsing does), and only for an argv that ``_parse`` does not read itself."""
     parser = argparse.ArgumentParser(prog="splitmev")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_opt = sub.add_parser("optimize", help="compute the optimal trade split")
-    p_opt.set_defaults(command=cmd_optimize)
-    p_opt.add_argument("--config", required=True, type=_path)
-    p_opt.add_argument("--out", type=_path)
-
-    p_sim = sub.add_parser("simulate", help="run a sequencer scenario (file or directory)")
-    p_sim.set_defaults(command=cmd_simulate)
-    p_sim.add_argument("--config", required=True, type=_path)
-    p_sim.add_argument("--out", type=_path)
-    p_sim.add_argument("--seed-override", type=functools.partial(_int_at_least, 0), default=None)
-
-    p_ana = sub.add_parser("analyze", help="classify traces and compute fee statistics")
-    p_ana.set_defaults(command=cmd_analyze)
-    p_ana.add_argument("--traces", required=True, type=_path)
-    p_ana.add_argument("--labels", required=True, type=_path)
-    p_ana.add_argument("--records", required=True, type=_path)
-    p_ana.add_argument("--out", type=_path)
-    p_ana.add_argument("--min-bot-reverts", type=functools.partial(_int_at_least, 1), default=10)
-
-    table = {}
-    for name, p_sub in sub.choices.items():
-        actions = [a for a in p_sub._actions if isinstance(a, argparse._StoreAction) and a.choices is None]
-        options = {option: a for a in actions for option in a.option_strings}
-        start = {**{a.dest: a.default for a in actions}, **p_sub._defaults}
-        table[name] = options, start, {a.dest for a in actions if a.required}
-    return parser, table
+    for name, (command, help_text, options) in _SUBCOMMANDS.items():
+        p_sub = sub.add_parser(name, help=help_text)
+        p_sub.set_defaults(command=command)
+        for option, (kind, default, required) in options.items():
+            p_sub.add_argument(option, type=kind, default=default, required=required)
+    return parser
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
@@ -316,22 +316,21 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     quiet = argv[:1] == ["--quiet"]
     name, *rest = argv[quiet:] or [None]
-    parser, tables = build_parser()
-    if name in tables and len(rest) % 2 == 0:
-        options, start, required = tables[name]
+    if name in _CANONICAL and len(rest) % 2 == 0:
+        options, start, required = _CANONICAL[name]
         values = {}
         for option, value in zip(rest[::2], rest[1::2]):
-            action = options.get(option)
-            if action is None or value.startswith("-"):  # argparse may read such a value as an option
+            dest_type = options.get(option)
+            if dest_type is None or value.startswith("-"):  # argparse may read such a value as an option
                 break
             try:
-                values[action.dest] = action.type(value)
+                values[dest_type[0]] = dest_type[1](value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports these
                 break
         else:
             if required <= values.keys():
                 return argparse.Namespace(**{**start, **values}, quiet=quiet, subcommand=name)
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(argv)
         out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
         if not out:  # an empty SPLITMEV_OUT is unset: Path("") would be the working directory
-            build_parser()[0].error("the following arguments are required: --out")
-        out_dir = str(args.out or Path(out))  # as pathlib writes it: "a//b/" is "a/b"
+            build_parser().error("the following arguments are required: --out")
+        out_dir = _path(out)  # as pathlib writes it: "a//b/" is "a/b"
         if not os.path.isdir(out_dir):  # where it is, one stat, not a failing mkdir and its exception
             Path(out_dir).mkdir(parents=True, exist_ok=True)
         # each directory's manifest follows its outputs: a failing scenario leaves earlier ones whole

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 STATUSES = ("success", "reverted")
+_UINT256 = 2**256  # every integer field of a record, an EVM quantity, is below it
 _ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowercased address
 
 
@@ -62,8 +63,9 @@ class TxRecord:
         if self.status not in STATUSES:
             raise SchemaError(f"status must be one of {STATUSES}, got {self.status!r}")
         for name in ("block_number", "tx_index", "gas_price", "priority_fee_per_gas", "gas_used", "l1_fee"):
-            if getattr(self, name) < 0:
-                raise SchemaError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < _UINT256:  # the bound also keeps every fee quantile a finite float
+                raise SchemaError(f"{name} must be nonnegative" if value < 0 else f"{name} must be below 2**256")
         for name in ("from_address", "to_address"):
             object.__setattr__(self, name, _address(getattr(self, name), name))
 

@@ -51,6 +51,7 @@ __all__ = [
 
 STRATEGIES = ("single_shot", "split_n", "duplicate_k", "split_and_duplicate")
 ORDERINGS = ("fcfs", "pfa_within_batch")
+MAX_TXS = 10**6  # the most transactions a scenario may send, counted before any is built (about 850 MiB to run)
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,15 @@ class BotSpec:
         require(0 <= self.latency_jitter < math.inf, "latency_jitter", "must be nonnegative and finite")
         require(0 <= self.slippage_tolerance < 1, "slippage_tolerance", "must be in [0, 1)")
 
-    def tx_sizes(self) -> list[float]:
-        """Per-opportunity transaction sizes, chunk-major for duplicates."""
+    def shape(self) -> tuple[int, int]:
+        """The chunks n and copies k that the strategy uses: it sends n * k transactions per opportunity."""
         n = self.n_chunks if self.strategy in ("split_n", "split_and_duplicate") else 1
         k = self.k_copies if self.strategy in ("duplicate_k", "split_and_duplicate") else 1
+        return n, k
+
+    def tx_sizes(self) -> list[float]:
+        """Per-opportunity transaction sizes, chunk-major for duplicates."""
+        n, k = self.shape()
         return [self.trade_size / n] * (n * k)
 
 
@@ -112,6 +118,13 @@ class SimConfig:
             require(0 < self.opportunity_refresh < math.inf, "opportunity_refresh", "must be positive and finite")
         require(0 <= self.gas_overhead < math.inf, "gas_overhead", "must be nonnegative and finite")
         require(0 <= self.liquidation_penalty < math.inf, "liquidation_penalty", "must be nonnegative and finite")
+        refresh = self.horizon if self.opportunity_refresh is None else self.opportunity_refresh
+        require(self.horizon / refresh <= MAX_TXS, "opportunity_refresh", f"gives more than MAX_TXS = {MAX_TXS} opportunities")
+        opportunities = math.floor(self.horizon / refresh) + 1  # at least the k >= 0 with k * refresh < horizon
+        per_opportunity = sum(n * k for n, k in map(BotSpec.shape, self.bots))
+        txs = opportunities * per_opportunity
+        require(txs <= MAX_TXS, "bots", f"may send {txs} transactions ({opportunities} opportunities × {per_opportunity} "
+                f"per opportunity), more than MAX_TXS = {MAX_TXS}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":

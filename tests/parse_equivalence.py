@@ -54,7 +54,7 @@ def argvs():
 
 
 def main() -> int:
-    full = build_parser()[0]
+    full = build_parser()
     compared = canonical = 0
     real_parse_args = argparse.ArgumentParser.parse_args
     for argv in argvs():

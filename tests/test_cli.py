@@ -7,6 +7,7 @@ import datetime
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -162,6 +163,12 @@ MALFORMED_CONFIGS = {
     "sim-repeated-default-name": (
         "simulate", edited(SIM, bots=[edited(BOT, name="bot1"), edited(BOT, drop=["name"])]), "config.bots[1].name"
     ),
+    # more transactions than MAX_TXS, counted before any is built: a list of 10**20 sizes, and an
+    # opportunity schedule that would not end before memory ran out
+    "sim-too-many-chunks": (
+        "simulate", edited(SIM, bots=[edited(BOT, strategy="split_n", n_chunks=10**20)]), "config.bots"
+    ),
+    "sim-tiny-refresh": ("simulate", edited(SIM, opportunity_refresh=1e-300), "config.opportunity_refresh"),
     "opt-infinite-table-q": (
         "optimize",
         edited(OPT, model={"family": "table_interpolated", "parameters": {"qs": [0.0, math.inf], "ps": [1.0, 0.5]}}),
@@ -419,6 +426,15 @@ def test_simulate_empty_directory_is_config_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["--quiet", "simulate", "--config", str(empty), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["optimize", "simulate"])
+def test_config_name_too_long_is_an_unreadable_input(tmp_path, capsys, command):
+    # a stat that fails, as a name over the file system's limit does, makes no directory of
+    # scenarios: the config is an input that cannot be read, named once
+    path = str(tmp_path / ("a" * 300))
+    assert main(["--quiet", command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: File name too long\n")
 
 
 def test_simulate_unknown_field_exit_code(tmp_path, scenarios_dir, capsys):
@@ -705,6 +721,27 @@ def test_analyze_rejects_bad_record_address(tmp_path, fixtures_dir, capsys, colu
     argv = ["analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
     assert main(argv + ["--records", str(records), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {records} line {len(rows) - 10}: bad {column} 'not-an-address'\n"
+
+
+@pytest.mark.parametrize("fee, code", [(10**400, 2), (2**256 - 1, 0)], ids=["10**400", "2**256-1"])
+def test_analyze_record_integers_are_uint256(tmp_path, fixtures_dir, capsys, fee, code):
+    # a reverted row's priority fee beyond an EVM quantity's range exits 2 naming the file and line,
+    # where its fee quantile would not fit a float; the largest uint256 gives finite quantiles
+    rows = list(csv.reader((fixtures_dir / "records.csv").read_text().splitlines()))
+    line = next(i for i, row in enumerate(rows) if row[rows[0].index("status")] == "reverted") + 1
+    rows[line - 1][rows[0].index("priority_fee_per_gas")] = str(fee)
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    argv = ["--quiet", "analyze", "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv")]
+    assert main(argv + ["--records", str(records), "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert capsys.readouterr().err == f"error: {records} line {line}: priority_fee_per_gas must be below 2**256\n"
+        return
+    assert capsys.readouterr() == ("", "")
+    quantiles = json.loads((tmp_path / "o" / "priority_fee_distribution.json").read_text())["quantiles"]
+    assert quantiles and all(math.isfinite(q) for q in quantiles.values())
+    assert max(quantiles.values()) <= float(2**256 - 1)
 
 
 def test_analyze_rejects_min_bot_reverts_below_one(tmp_path, fixtures_dir, capsys):
@@ -1190,7 +1227,7 @@ def parse_outcome(parse, argv):
 @example([])
 def test_parse_is_the_full_parser(argv):
     # the canonical path gives what the full parser gives, or is not taken
-    assert parse_outcome(_parse, argv) == parse_outcome(build_parser()[0].parse_args, argv)
+    assert parse_outcome(_parse, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1199,7 +1236,7 @@ def test_parse_is_the_full_parser(argv):
     ["analyze", "--traces", "t", "--labels", "l", "--records", "r", "--out", "o", "--min-bot-reverts", "3"],
 ], ids=["optimize", "simulate", "analyze"])
 def test_canonical_argv_skips_argparse(monkeypatch, argv):
-    expected = build_parser()[0].parse_args(argv)
+    expected = build_parser().parse_args(argv)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("argparse parsed a canonical argv")
@@ -1207,6 +1244,37 @@ def test_canonical_argv_skips_argparse(monkeypatch, argv):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert _parse(argv) == expected
+
+
+# a fresh interpreter: the exit code of main on an argv, and whether it built the argparse parser
+CANONICAL_CALL = """
+import sys
+import splitmev.cli
+code = splitmev.cli.main(sys.argv[1:])
+print(code, splitmev.cli.build_parser.cache_info().currsize)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quiet", "optimize", "--config", "configs/optimize_worked.json"],
+    ["--quiet", "simulate", "--config", "scenarios/fcfs_duplicates.json", "--seed-override", "7"],
+    ["--quiet", "analyze", "--traces", "tests/fixtures/traces", "--labels", "tests/fixtures/labels.csv",
+     "--records", "tests/fixtures/records.csv", "--min-bot-reverts", "3"],
+], ids=["optimize", "simulate", "analyze"])
+def test_canonical_call_builds_no_argparse_parser(tmp_path, argv):
+    root = pathlib.Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(splitmev.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", CANONICAL_CALL, *argv, "--out", str(tmp_path)], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 0\n")
+
+
+def test_path_is_pathlibs():
+    # every text of up to 7 characters from "/", "." and "a": a text pathlib would rewrite
+    # ("a//b/", "./x", "x/.") is rewritten, any other is returned as it is
+    for size in range(1, 8):
+        for text in map("".join, itertools.product("/.a", repeat=size)):
+            assert cli._path(text) == str(pathlib.Path(text)), text
 
 
 class FloatSubclass(float):

@@ -84,6 +84,9 @@ def test_record_validation():
     for name in INT_COLUMNS:
         with pytest.raises(SchemaError, match=f"^{name} must be nonnegative$"):
             make_record(**{name: -1})
+        with pytest.raises(SchemaError, match=rf"^{name} must be below 2\*\*256$"):
+            make_record(**{name: 2**256})
+        assert getattr(make_record(**{name: 2**256 - 1}), name) == 2**256 - 1
     assert make_record(status="reverted").reverted
 
 

@@ -258,6 +258,20 @@ def test_opportunity_times_are_every_multiple_below_the_horizon():
     assert len(times) == 36 and times[-1] == 1.75
 
 
+def test_scenario_transactions_are_counted_before_any_is_built():
+    assert sequencer_sim.MAX_TXS == 10**6
+    bot = BotSpec(name="a", strategy="split_and_duplicate", trade_size=10.0, n_chunks=1000, k_copies=100)
+    base_config(bots=(bot,), opportunity_refresh=0.1, horizon=0.95)  # 10 opportunities × 10**5: MAX_TXS
+    # an upper bound: 10 * 0.1 is not below this horizon, but the quotient 10.0 counts an 11th opportunity
+    with pytest.raises(ConfigError, match=r"^bots: may send 1100000 transactions \(11 opportunities × 100000 per "):
+        base_config(bots=(bot,), opportunity_refresh=0.1, horizon=1.0)
+    with pytest.raises(ConfigError, match="^opportunity_refresh: gives more than MAX_TXS = 1000000 opportunities$"):
+        base_config(opportunity_refresh=1e-300)
+    # a strategy's count uses only its own n or k: a duplicate_k bot ignores its n_chunks
+    many = BotSpec(name="a", strategy="duplicate_k", trade_size=10.0, n_chunks=10**20, k_copies=2)
+    assert many.shape() == (1, 2) and len(run(base_config(bots=(many,))).outcomes) == 2
+
+
 def test_no_refresh_at_the_horizon():
     # 3 * 0.1 == 0.30000000000000004 is not below that horizon, so there is
     # no opportunity there and no pool reset either
