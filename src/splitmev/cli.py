@@ -14,7 +14,7 @@ or a simulated profit that is not finite).
 The options are one table, ``_SUBCOMMANDS``. ``main`` parses an argv once: a canonical one,
 ``[--quiet] <subcommand>`` then ``--option value`` pairs, from that table; any other through the
 argparse parser built from it, for its usage lines, errors and exit codes. Every path, ``SPLITMEV_OUT``
-too, is a nonempty string as pathlib writes it (``a//b/`` is ``a/b``), joined and listed as a string.
+too, is a nonempty string kept as it was given (``./x.json`` stays ``./x.json``), joined by ``os.path.join``.
 
 Importing this module loads ``config`` alone: each subcommand imports its own
 modules when it runs, so only ``simulate``, for its PCG64 draws, loads numpy.
@@ -33,7 +33,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, DomainError, NoRootError, SchemaError, TraceParseError, read_input
@@ -115,19 +114,11 @@ def _write_csv(path: str, header: list[str], rows):
     _write(path, buf.getvalue())
 
 
-def _join(base: str, name: str) -> str:
-    """``str(Path(base) / name)``, for a ``base`` as pathlib writes it and one path component
-    ``name``: pathlib drops a ``.``, so ``Path(".") / "x.json"`` is ``x.json``, not ``./x.json``."""
-    if base == "." or name == ".":
-        return base if name == "." else name
-    return os.path.join(base, name)
-
-
 def _json_files(directory: str) -> list[tuple[str, str]]:
-    """The stem and path of each ``*.json`` file in ``directory``, by name: ``os.listdir``
-    raises ``OSError`` for a directory it cannot list, where ``Path.glob`` yields nothing."""
+    """The stem and path of each ``*.json`` file in ``directory``, by name, the path joined to
+    ``directory`` as it was given: ``os.listdir`` raises ``OSError`` for a directory it cannot list."""
     names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
-    return [(name[:-5] or name, _join(directory, name)) for name in names]  # the stem as Path.stem
+    return [(name[:-5] or name, os.path.join(directory, name)) for name in names]  # the stem as Path.stem
 
 
 def cmd_optimize(args, out_dir: str):
@@ -139,8 +130,8 @@ def cmd_optimize(args, out_dir: str):
     n_curve = min(10 * result.num_chunks, 1000)
     curve = profit_curve(cfg.pool, cfg.params, model, n_curve)
 
-    _write_json(_join(out_dir, "plan.json"), vars(result))
-    _write_csv(_join(out_dir, "profit_curve.csv"), ["n", "expected_total_profit"], curve)
+    _write_json(os.path.join(out_dir, "plan.json"), vars(result))
+    _write_csv(os.path.join(out_dir, "profit_curve.csv"), ["n", "expected_total_profit"], curve)
     progress = f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}"
     yield out_dir, {"config": args.config}, hashlib.sha256(raw), progress
 
@@ -154,23 +145,26 @@ def cmd_simulate(args, out_dir: str):
         for stem, path in files:  # before any scenario runs: a refused name writes nothing
             if stem in (".", ".."):  # its subdirectory would be --out itself, or its parent
                 raise ConfigError(f"{path}: the scenario name {stem!r} names no subdirectory of the output directory")
-        runs = [(path, _join(out_dir, stem)) for stem, path in files]
+        runs = [(path, os.path.join(out_dir, stem)) for stem, path in files]
         if not runs:
             raise ConfigError(f"{args.config}: no *.json scenario configs found")
     for config_path, sub in runs:
         config, raw = _load_config(config_path, SimConfig.from_dict)
         if args.seed_override is not None:
             config = dataclasses.replace(config, seed=args.seed_override)
-        report = run(config)
+        try:
+            report = run(config)
+        except (DomainError, NoRootError) as exc:  # named, as a config's own errors are
+            raise type(exc)(f"{config_path}: {exc}") from exc
         metrics = summarize(report)
 
-        Path(sub).mkdir(parents=True, exist_ok=True)  # only for a scenario that ran: a failed one leaves none
-        _write(_join(sub, "report.json"), report.to_json(), "\n")
+        os.makedirs(sub, exist_ok=True)  # only for a scenario that ran: a failed one leaves none
+        _write(os.path.join(sub, "report.json"), report.to_json(), "\n")
         del report  # not held while the next scenario runs
-        _write_json(_join(sub, "metrics.json"), metrics)
+        _write_json(os.path.join(sub, "metrics.json"), metrics)
         histogram = metrics["revert_position_histogram"].items()  # summarize sorts it
-        _write_csv(_join(sub, "revert_position_histogram.csv"), ["position", "count"], histogram)
-        _write_csv(_join(sub, "per_bot_profit.csv"), ["bot", "profit"], sorted(metrics["per_bot_profit"].items()))
+        _write_csv(os.path.join(sub, "revert_position_histogram.csv"), ["position", "count"], histogram)
+        _write_csv(os.path.join(sub, "per_bot_profit.csv"), ["bot", "profit"], sorted(metrics["per_bot_profit"].items()))
         progress = f"{os.path.basename(config_path)}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}"
         yield sub, {"config": config_path}, hashlib.sha256(raw), progress
 
@@ -220,12 +214,12 @@ def cmd_analyze(args, out_dir: str):
     # written once every trace has parsed, so a malformed trace leaves no partial file; through
     # a buffered file, as one os.write per line (_write(path, *lines)) costs about 4 times as much
     # and "".join(lines) would hold two more copies of the text
-    with open(_join(out_dir, "classifications.jsonl"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "classifications.jsonl"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
     for name, table in breakdown(classified).items():
         _write_csv(
-            _join(out_dir, f"breakdown_{name}.csv"),
+            os.path.join(out_dir, f"breakdown_{name}.csv"),
             [name, "count", "share"],
             [(v, n, f"{share:.6f}") for v, n, share in table],
         )
@@ -233,7 +227,7 @@ def cmd_analyze(args, out_dir: str):
     daily_all, daily_pf = revert_stats(records)
     diff = revert_differential(daily_all, daily_pf)
     _write_csv(
-        _join(out_dir, "revert_stats.csv"),
+        os.path.join(out_dir, "revert_stats.csv"),
         ["chain", "day", "revert_rate", "priority_revert_rate", "differential"],
         [
             (
@@ -246,10 +240,10 @@ def cmd_analyze(args, out_dir: str):
             for (chain, day), rate in daily_all.items()
         ],
     )
-    _write_csv(_join(out_dir, "position_histogram.csv"), ["tx_index", "count"], position_histogram(records).items())
-    _write_json(_join(out_dir, "priority_fee_distribution.json"), priority_fee_distribution(records))
+    _write_csv(os.path.join(out_dir, "position_histogram.csv"), ["tx_index", "count"], position_histogram(records).items())
+    _write_json(os.path.join(out_dir, "priority_fee_distribution.json"), priority_fee_distribution(records))
     bots = sorted(identify_bots(records, labels, args.min_bot_reverts))
-    _write_csv(_join(out_dir, "bots.csv"), ["address"], [(a,) for a in bots])
+    _write_csv(os.path.join(out_dir, "bots.csv"), ["address"], [(a,) for a in bots])
 
     inputs = {"traces": args.traces, "labels": args.labels, "records": args.records}
     progress = f"classified {len(lines)} traces ({swaps} swaps)"
@@ -268,11 +262,10 @@ def _int_at_least(lowest: int, text: str) -> int:
 
 
 def _path(text: str) -> str:
-    """``str(Path(text))``: ``a//b/`` is ``a/b``. A text with no empty or ``.`` component past a leading root
-    is returned as it is: through ``str(Path(...))``, each path costs a canonical ``_parse`` about 1 µs more."""
-    if not text:  # Path("") is the working directory
+    """``text`` as it was given: it is recorded and joined as the user spelled it."""
+    if not text:  # an empty path names no file, not the working directory
         raise argparse.ArgumentTypeError("empty path")
-    return str(Path(text)) if "//" in text or "/./" in text or text.endswith(("/", "/.")) or text[:2] == "./" else text
+    return text
 
 
 # per subcommand: its command, its help and, in usage order, each one-value option's type, default and required
@@ -341,15 +334,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = _parse(argv)
-        out = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
-        if not out:  # an empty SPLITMEV_OUT is unset: Path("") would be the working directory
+        out_dir = args.out or os.environ.get("SPLITMEV_OUT")  # the environment is read on every call
+        if not out_dir:  # an empty SPLITMEV_OUT is unset, as an empty --out is refused
             build_parser().error("the following arguments are required: --out")
-        out_dir = _path(out)  # as pathlib writes it: "a//b/" is "a/b"
         if not os.path.isdir(out_dir):  # where it is, one stat, not a failing mkdir and its exception
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            os.makedirs(out_dir, exist_ok=True)
         # each directory's manifest follows its outputs: a failing scenario leaves earlier ones whole
         for directory, inputs, digest, progress in args.command(args, out_dir):
-            _write_json(_join(directory, "manifest.json"), {
+            _write_json(os.path.join(directory, "manifest.json"), {
                 "subcommand": args.subcommand,
                 "inputs": inputs,
                 "config_sha256": digest.hexdigest(),

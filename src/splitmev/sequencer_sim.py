@@ -82,11 +82,6 @@ class BotSpec:
         k = self.k_copies if self.strategy in ("duplicate_k", "split_and_duplicate") else 1
         return n, k
 
-    def tx_sizes(self) -> list[float]:
-        """Per-opportunity transaction sizes, chunk-major for duplicates."""
-        n, k = self.shape()
-        return [self.trade_size / n] * (n * k)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -159,7 +154,7 @@ class TxOutcome(NamedTuple):
 
 
 _OUTCOME_FIELDS = TxOutcome._fields
-# the fields that one (bot, size) order's rows share but for their status,
+# the fields that one bot's order's rows share but for their status,
 # and the sorted rest, which each report row fills in
 _KEY_FIELDS = ("bot_id", "bot_name", "priority_fee", "size", "status")
 _ROW_KEY = attrgetter(*_KEY_FIELDS)
@@ -190,8 +185,8 @@ class SimReport:
 
         The templates of the rows' ``_ROW_KEY``s, joined, are filled with
         every row's other fields in one ``%``. Rows whose key fields compare
-        equal, as all rows of one of ``run``'s (bot, size) orders and status
-        do, share a template, so 0.0 and -0.0, or 1 and 1.0, are written as
+        equal, as all rows of one bot's order and status in ``run`` do,
+        share a template, so 0.0 and -0.0, or 1 and 1.0, are written as
         the first row has them (``run`` never mixes them within an order).
         ``%r`` writes an int or a finite float as ``json.dumps`` does. A value
         field of another type (a bool or a numpy value), or value fields whose
@@ -244,24 +239,22 @@ def _opportunity_times(config: SimConfig) -> list[float]:
 
 
 def _generate_txs(config: SimConfig, opportunities: list[float], rng: np.random.Generator) -> list[SimTx]:
-    # every opportunity starts from the fresh pool, so a bot's quote for a
-    # size is the same each time: quote each distinct (bot, size) once
+    # a bot sends one order, n * k copies of trade_size / n, and every
+    # opportunity starts from the fresh pool, so each bot's order is quoted once
     # (bot_id, latency_mean, jittered, size, priority_fee, min_out) in submission order within an opportunity
     orders = []
     for bot_id, bot in enumerate(config.bots):
+        n, k = bot.shape()
+        size = bot.trade_size / n
         # bot demands at least the fresh-pool quote net of its slippage
         # tolerance, and never less than CEX break-even
-        min_out = {
-            size: max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
-            for size in dict.fromkeys(bot.tx_sizes())
-        }
-        mean, jittered, fee = bot.latency_mean, bot.latency_jitter > 0, bot.priority_fee
-        orders += [(bot_id, mean, jittered, size, fee, min_out[size]) for size in bot.tx_sizes()]
+        min_out = max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
+        orders += [(bot_id, bot.latency_mean, bot.latency_jitter > 0, size, bot.priority_fee, min_out)] * (n * k)
 
     # exponential jitter: nonnegative, no pile-up at zero. One draw per
     # jittered transaction in submission order, all in one call: the same
     # values as one scalar draw per transaction
-    scales = [bot.latency_jitter for bot in config.bots if bot.latency_jitter > 0 for _ in bot.tx_sizes()]
+    scales = [config.bots[bot_id].latency_jitter for bot_id, _, jittered, *_ in orders if jittered]
     draws = iter(rng.exponential(scales * len(opportunities)).tolist())
     txs: list[SimTx] = []
     for t_k in opportunities:

@@ -7,7 +7,6 @@ import datetime
 import gc
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -409,17 +408,30 @@ def test_simulate_scenario_stem_keeps_its_inner_dots(tmp_path):
     assert json.loads((out / "a.b" / "manifest.json").read_text())["out_dir"] == f"{out}/a.b"
 
 
-def test_join_is_pathlibs():
-    for base in (".", "/", "//", "a", "a/b", "/a", "//a", "../a"):
-        for name in ("x.json", ".", "..", ".json", "..json", "a.b"):
-            assert cli._join(str(pathlib.Path(base)), name) == str(pathlib.Path(base) / name), (base, name)
-
-
-def test_out_dot_names_outputs_without_a_dot(tmp_path, configs_dir, monkeypatch, capsys):
+def test_out_dot_names_outputs_as_given(tmp_path, configs_dir, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "plan.json").mkdir()  # as a file without write permission; root ignores chmod
     assert main(["--quiet", "optimize", "--config", str(configs_dir / "optimize_worked.json"), "--out", "."]) == 2
-    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'plan.json'\n"
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: './plan.json'\n"
+
+
+def test_paths_are_recorded_as_given(tmp_path, configs_dir, monkeypatch):
+    # a path that pathlib would rewrite ("./x", "a//b/") is recorded, and joined, as it was given
+    monkeypatch.chdir(configs_dir.parent)
+    out = f"{tmp_path}//o/"
+    assert main(["--quiet", "optimize", "--config", "./configs/optimize_worked.json", "--out", out]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert (manifest["inputs"], manifest["out_dir"]) == ({"config": "./configs/optimize_worked.json"}, out)
+    clean = tmp_path / "clean"
+    assert main(["--quiet", "optimize", "--config", "configs/optimize_worked.json", "--out", str(clean)]) == 0
+    assert (tmp_path / "o" / "plan.json").read_bytes() == (clean / "plan.json").read_bytes()
+
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write_json(scenarios / "a.json", SIM_CONFIG)
+    assert main(["--quiet", "simulate", "--config", f"{scenarios}/", "--out", str(tmp_path / "sim")]) == 0
+    manifest = json.loads((tmp_path / "sim" / "a" / "manifest.json").read_text())
+    assert manifest["inputs"] == {"config": f"{scenarios}/a.json"}
 
 
 def test_simulate_empty_directory_is_config_error(tmp_path):
@@ -453,9 +465,11 @@ def test_simulate_arrival_overflow_exit_code(tmp_path, scenarios_dir, capsys, la
     cfg = json.loads((scenarios_dir / "fcfs_duplicates.json").read_text())
     cfg["bots"] = [dict(cfg["bots"][0], **latency)]
     out = tmp_path / "o"
-    assert main(["simulate", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", (
-        f"numerical anomaly: arrival time {arrival} has no block: the simulator's arithmetic has left the float range\n"
+        f"numerical anomaly: {path}: arrival time {arrival} has no block: "
+        "the simulator's arithmetic has left the float range\n"
     ))
     assert list(out.iterdir()) == []
 
@@ -465,12 +479,30 @@ def test_simulate_profit_overflow_exit_code(tmp_path, scenarios_dir, capsys):
     cfg = json.loads((scenarios_dir / "fcfs_duplicates.json").read_text())
     cfg.update(gas_overhead=1.7e308, liquidation_penalty=1.7e308)
     out = tmp_path / "o"
-    assert main(["simulate", "--config", str(write_json(tmp_path / "cfg.json", cfg)), "--out", str(out)]) == 3
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr() == ("", (
-        "numerical anomaly: bot 'spammer' has a total profit of -inf: "
+        f"numerical anomaly: {path}: bot 'spammer' has a total profit of -inf: "
         "the simulator's arithmetic has left the float range\n"
     ))
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("trade_size, message", [
+    (1e300, "trade size too large relative to reserves (precision guard)"),
+    (5e-324, "trade size must be positive and finite"),  # 5e-324 / 4 is 0.0
+])
+def test_simulate_sweep_names_a_scenario_that_fails_while_it_runs(tmp_path, capsys, trade_size, message):
+    scenarios = tmp_path / "scenarios"
+    scenarios.mkdir()
+    write_json(scenarios / "a.json", SIM_CONFIG)
+    bot = {"name": "big", "strategy": "split_n", "trade_size": trade_size, "n_chunks": 4}
+    write_json(scenarios / "b.json", edited(SIM_CONFIG, bots=[bot]))
+    out = tmp_path / "o"
+    assert main(["--quiet", "simulate", "--config", str(scenarios), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {scenarios}/b.json: {message}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["a"]
+    assert (out / "a" / "manifest.json").exists()
 
 
 def test_analyze_fixture_corpus(tmp_path, fixtures_dir):
@@ -614,13 +646,13 @@ def test_analyze_malformed_trace_leaves_out_as_it_was(tmp_path, fixtures_dir, ca
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_traces_dot_names_a_trace_without_a_dot(tmp_path, fixtures_dir, monkeypatch, capsys):
+def test_traces_dot_names_a_trace_as_given(tmp_path, fixtures_dir, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "x.json", {"from_address": "0xzz"})
     argv = ["--quiet", "analyze", "--traces", ".", "--labels", str(fixtures_dir / "labels.csv"),
             "--records", str(fixtures_dir / "records.csv"), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: x.json[0]: bad address '0xzz'\n"
+    assert capsys.readouterr().err == "error: ./x.json[0]: bad address '0xzz'\n"
 
 
 def test_trace_tx_hash_is_the_name_without_json(tmp_path, fixtures_dir):
@@ -1052,7 +1084,7 @@ def test_simulate_directory_anomaly_leaves_no_directory(tmp_path, capsys):
     write_json(configs / "b.json", edited(SIM_CONFIG, bots=[dict(BOT, latency_mean=1.7e308)]))
     out = tmp_path / "out"
     assert main(["--quiet", "simulate", "--config", str(configs), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("numerical anomaly: arrival time 1.7e+308 has no block")
+    assert capsys.readouterr().err.startswith(f"numerical anomaly: {configs}/b.json: arrival time 1.7e+308 has no block")
     assert sorted(p.name for p in out.iterdir()) == ["a"]
     assert len(list((out / "a").iterdir())) == 5
 
@@ -1267,14 +1299,6 @@ def test_canonical_call_builds_no_argparse_parser(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", CANONICAL_CALL, *argv, "--out", str(tmp_path)], cwd=root, env=env,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0 0\n")
-
-
-def test_path_is_pathlibs():
-    # every text of up to 7 characters from "/", "." and "a": a text pathlib would rewrite
-    # ("a//b/", "./x", "x/.") is rewritten, any other is returned as it is
-    for size in range(1, 8):
-        for text in map("".join, itertools.product("/.a", repeat=size)):
-            assert cli._path(text) == str(pathlib.Path(text)), text
 
 
 class FloatSubclass(float):

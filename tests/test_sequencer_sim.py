@@ -401,9 +401,11 @@ def test_split_and_duplicate_tx_counts():
     bot = BotSpec(
         name="x", strategy="split_and_duplicate", trade_size=12.0, n_chunks=3, k_copies=2
     )
-    sizes = bot.tx_sizes()
-    assert sizes == [4.0] * 6
-    assert BotSpec(name="x", strategy="split_n", trade_size=12.0, n_chunks=4).tx_sizes() == [3.0] * 4
+    n, k = bot.shape()
+    assert [bot.trade_size / n] * (n * k) == [4.0] * 6
+    split = BotSpec(name="y", strategy="split_n", trade_size=12.0, n_chunks=4, k_copies=2)
+    txs = sequencer_sim._generate_txs(base_config(bots=(bot, split)), [0.0], np.random.default_rng(0))
+    assert [(tx.bot_id, tx.size) for tx in txs] == [(0, 4.0)] * 6 + [(1, 3.0)] * 4
 
 
 def test_jitter_arrivals_have_no_zero_pileup():
@@ -491,7 +493,8 @@ def scalar_draw_txs(config, opportunities, rng):
     txs = []
     for t_k in opportunities:
         for bot_id, bot in enumerate(config.bots):
-            for size in bot.tx_sizes():
+            n, k = bot.shape()
+            for size in [bot.trade_size / n] * (n * k):
                 min_out = max(swap_out(config.pool, size) * (1.0 - bot.slippage_tolerance), size * config.cex_price)
                 if bot.latency_jitter > 0:
                     latency = bot.latency_mean + rng.exponential(bot.latency_jitter)
@@ -606,7 +609,7 @@ def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reve
 @pytest.mark.parametrize(
     "rows",
     [
-        # one (bot, size) order's reverts need not share a payout or a profit
+        # one bot's order's reverts need not share a payout or a profit
         [reverted(0), reverted(1, payout=0.5), reverted(2, profit=-2.5), reverted(3, 0.5, -2.5), reverted(4)],
         # non-finite values in a revert's payout and profit
         [reverted(0, profit=math.nan), reverted(1, profit=math.inf), reverted(2, profit=-math.inf), reverted(3)],
