@@ -122,9 +122,9 @@ def _json_files(directory: str) -> list[tuple[str, str]]:
 
 
 def cmd_optimize(args, out_dir: str):
-    from .split_optimizer import _optimize_config, plan, profit_curve
+    from .split_optimizer import optimize_config, plan, profit_curve
 
-    (cfg, model), raw = _load_config(args.config, _optimize_config)
+    (cfg, model), raw = _load_config(args.config, optimize_config)
     result = plan(cfg.pool, cfg.params, model)
 
     n_curve = min(10 * result.num_chunks, 1000)

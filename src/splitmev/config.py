@@ -1,19 +1,29 @@
 """One builder for JSON configs: the fields of a frozen dataclass give the
 allowed keys, the required keys and the type of each value. One reader for
-every input file. The error classes of the CLI's exit contract (2 for
-``DomainError``, ``SchemaError`` and ``TraceParseError``, 3 for ``NoRootError``),
-which the modules that raise them re-export: ``cli.main`` catches them from here alone."""
+every input file, and one CSV row reader, ``read_rows``: a dataclass's fields
+give the header and the type of each cell. ``check_address`` is the address
+rule of those rows and of traces. The error classes of the CLI's exit
+contract (2 for ``DomainError``, ``SchemaError`` and ``TraceParseError``, 3 for
+``NoRootError``), which the modules that raise them re-export: ``cli.main``
+catches them from here alone."""
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import os
+import re
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 # JSON types accepted for each field type; a bool is never a number.
 _JSON = {float: ((int, float), "expected a number"), int: (int, "expected an integer"),
          str: (str, "expected a string"), dict: (dict, "expected an object")}
+_ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowercased address
+# the parser of each CSV cell whose field is an int or a bool; a field of any other type
+# but str (a date) is parsed by that type's fromisoformat
+_PARSE = {int: int, bool: lambda cell: cell.strip().lower() in ("1", "true", "yes")}
 
 
 class DomainError(ValueError):
@@ -67,6 +77,41 @@ def require(cond: bool, path: str, msg: str):
 def _fields(cls) -> dict:  # name -> (type, required: no default of either kind)
     hints = get_type_hints(cls)
     return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
+
+
+def check_address(value, name: str) -> str:
+    """``str(value)`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
+    address = str(value).lower()
+    if not _ADDR_RE.fullmatch(address):
+        raise SchemaError(f"bad {name} {value!r}")
+    return address
+
+
+def read_rows(path, text: str, cls) -> list:
+    """The ``cls`` of each row of ``text``, the decoded content of the CSV file at
+    ``path`` whose header is ``cls``'s fields. Errors name the path and the line,
+    numbered as ``csv.DictReader`` numbers them (blank rows are not counted)."""
+    spec = _fields(cls)
+    header = list(spec)
+    parsers = [(i, _PARSE.get(tp) or tp.fromisoformat) for i, (tp, _) in enumerate(spec.values()) if tp is not str]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    items = []
+    try:
+        got = next(reader, None)
+        if got != header:
+            raise SchemaError(f"{path}: expected header {header}, got {got}")
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            if len(row) != len(header):
+                raise SchemaError(f"{path} line {line_no}: expected {len(header)} cells")
+            try:
+                for i, parse in parsers:  # in place: cheaper than a new list of cells
+                    row[i] = parse(row[i])
+                items.append(cls(*row))
+            except ValueError as exc:  # a bad cell, or a check of cls (SchemaError)
+                raise SchemaError(f"{path} line {line_no}: {exc}") from exc
+    except csv.Error as exc:  # a cell over csv's field size limit (on Python 3.10, also a NUL)
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
+    return items
 
 
 def _coerce(tp, value, path: str):

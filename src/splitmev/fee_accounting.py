@@ -1,28 +1,23 @@
-"""Gas-fee decomposition and aggregate revert statistics.
+"""Aggregate revert statistics of transaction records.
 
-All fee arithmetic stays in integer wei; floats appear only in reported
-ratios and fee quantiles. Records are read from a CSV file whose header is
-``TxRecord``'s fields, by the reader that also reads the trace pipeline's
+Fee fields stay integer wei; floats appear only in reported ratios and fee
+quantiles. Records are read from a CSV file whose header is ``TxRecord``'s
+fields, by ``config.read_rows``, which also reads the trace pipeline's
 label CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from .config import SchemaError, _fields
+from .config import SchemaError, check_address, read_rows
 
 __all__ = [
     "TxRecord",
-    "FeeBreakdown",
     "SchemaError",
-    "decompose",
     "revert_stats",
     "revert_differential",
     "position_histogram",
@@ -33,15 +28,6 @@ __all__ = [
 
 STATUSES = ("success", "reverted")
 _UINT256 = 2**256  # every integer field of a record, an EVM quantity, is below it
-_ADDR_RE = re.compile(r"0x[0-9a-f]{40}")  # applied with fullmatch, to a lowercased address
-
-
-def _address(value, name: str) -> str:
-    """``str(value)`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
-    address = str(value).lower()
-    if not _ADDR_RE.fullmatch(address):
-        raise SchemaError(f"bad {name} {value!r}")
-    return address
 
 
 @dataclass(frozen=True)
@@ -67,7 +53,7 @@ class TxRecord:
             if not 0 <= value < _UINT256:  # the bound also keeps every fee quantile a finite float
                 raise SchemaError(f"{name} must be nonnegative" if value < 0 else f"{name} must be below 2**256")
         for name in ("from_address", "to_address"):
-            object.__setattr__(self, name, _address(getattr(self, name), name))
+            object.__setattr__(self, name, check_address(getattr(self, name), name))
 
     @property
     def reverted(self) -> bool:
@@ -75,37 +61,6 @@ class TxRecord:
 
 
 TX_RECORD_HEADER = [f.name for f in fields(TxRecord)]
-
-
-@dataclass(frozen=True)
-class FeeBreakdown:
-    execution_fee: int
-    priority_fee: int
-    base_fee: int
-    l1_fee: int
-    total: int
-    clamped: bool  # priority_fee_per_gas exceeded gas_price; base was floored at 0
-
-
-def decompose(record: TxRecord) -> FeeBreakdown:
-    """Split the total fee into base / priority / L1 components.
-
-    execution = gas_price * gas_used; priority = priority_fee_per_gas *
-    gas_used; base = max(gas_price - priority_fee_per_gas, 0) * gas_used.
-    When the priority fee exceeds the gas price the base clamps to zero and
-    base + priority no longer equals execution; that case is flagged.
-    """
-    execution = record.gas_price * record.gas_used
-    priority = record.priority_fee_per_gas * record.gas_used
-    base = max(record.gas_price - record.priority_fee_per_gas, 0) * record.gas_used
-    return FeeBreakdown(
-        execution_fee=execution,
-        priority_fee=priority,
-        base_fee=base,
-        l1_fee=record.l1_fee,
-        total=execution + record.l1_fee,
-        clamped=record.priority_fee_per_gas > record.gas_price and record.gas_used > 0,
-    )
 
 
 def revert_stats(records: list[TxRecord]) -> tuple[dict, dict]:
@@ -164,38 +119,7 @@ def _quantile(xs: list[int], q: float) -> float:
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-# the parser of each CSV cell whose field is not a str
-_PARSE = {int: int, dt.date: dt.date.fromisoformat, bool: lambda cell: cell.strip().lower() in ("1", "true", "yes")}
-
-
-def _csv_records(path, text: str, cls) -> list:
-    """The ``cls`` of each row of ``text``, the decoded content of the CSV file at
-    ``path`` whose header is ``cls``'s fields. Errors name the path and the line,
-    numbered as ``csv.DictReader`` numbers them (blank rows are not counted)."""
-    spec = _fields(cls)
-    header = list(spec)
-    parsers = [(i, _PARSE[tp]) for i, (tp, _) in enumerate(spec.values()) if tp is not str]
-    reader = csv.reader(io.StringIO(text, newline=""))
-    items = []
-    try:
-        got = next(reader, None)
-        if got != header:
-            raise SchemaError(f"{path}: expected header {header}, got {got}")
-        for line_no, row in enumerate(filter(None, reader), start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path} line {line_no}: expected {len(header)} cells")
-            try:
-                for i, parse in parsers:  # in place: cheaper than a new list of cells
-                    row[i] = parse(row[i])
-                items.append(cls(*row))
-            except ValueError as exc:  # a bad cell, or a check of cls (SchemaError)
-                raise SchemaError(f"{path} line {line_no}: {exc}") from exc
-    except csv.Error as exc:  # a cell over csv's field size limit (on Python 3.10, also a NUL)
-        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
-    return items
-
-
 def read_records_csv(path, text: str) -> list[TxRecord]:
     """The records of ``text``, the decoded content of the ``TX_RECORD_HEADER``
     CSV file at ``path``; errors name the path and the line."""
-    return _csv_records(path, text, TxRecord)
+    return read_rows(path, text, TxRecord)

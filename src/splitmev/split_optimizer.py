@@ -76,7 +76,7 @@ class OptimizeConfig:
     model: ModelConfig
 
 
-def _optimize_config(doc):  # the config and its failure model
+def optimize_config(doc):  # the config and its failure model
     cfg = build(OptimizeConfig, doc)
     return cfg, from_config(cfg.model.family, cfg.model.parameters)
 

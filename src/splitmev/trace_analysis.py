@@ -22,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from json.scanner import py_make_scanner
 
-from .config import SchemaError, TraceParseError, read_input
-from .fee_accounting import TxRecord, _address, _csv_records
+from .config import SchemaError, TraceParseError, check_address, read_input, read_rows
+from .fee_accounting import TxRecord
 
 __all__ = [
     "ExecutionGraph",
@@ -74,10 +74,10 @@ def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
     memo: dict[str, str] = {}  # raw address -> its checked lowercase form
     edges: list[tuple[str, str]] = []
     # (frame, where: the root's path or (the parent's where, child index),
-    #  the parent's depth or None at the root, calls below the root)
-    stack = [(tree, path, None, 0)]
+    #  the parent's depth or None at the root)
+    stack = [(tree, path, None)]
     while stack:
-        d, where, parent_depth, level = stack.pop()
+        d, where, parent_depth = stack.pop()
         if not isinstance(d, dict):
             raise TraceParseError(f"{_path(where)}: expected a JSON object")
         kind = d.get("call_kind", "call")
@@ -94,24 +94,24 @@ def build_graph(tree: dict, path: str = "root", checked=()) -> ExecutionGraph:
         try:
             addr = d["from_address"]  # checked, not kept
             if addr not in memo:
-                memo[addr] = addr if addr in checked else _address(addr, "address")
+                memo[addr] = addr if addr in checked else check_address(addr, "address")
             addr = d["to_address"]
-            callee = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else _address(addr, "address"))
+            callee = memo.get(addr) or memo.setdefault(addr, addr if addr in checked else check_address(addr, "address"))
         except KeyError as exc:
             raise TraceParseError(f"{_path(where)}: missing field {exc}") from exc
         except TypeError:  # an unhashable JSON array or object
             raise TraceParseError(f"{_path(where)}: bad address {addr!r}") from None
         except SchemaError as exc:
             raise TraceParseError(f"{_path(where)}: {exc}") from None
-        if parent_depth is not None and depth != parent_depth + 1:
+        if parent_depth is None:
+            root_depth = depth
+        elif depth != parent_depth + 1:
             raise TraceParseError(f"{_path(where)}: depth {depth} != parent depth + 1")
-        if level > MAX_CALL_DEPTH:
-            raise TraceParseError(f"{_path(where)}: call depth {level} exceeds the EVM's {MAX_CALL_DEPTH}")
+        if depth - root_depth > MAX_CALL_DEPTH:  # each depth is its parent's + 1: calls below the root
+            raise TraceParseError(f"{_path(where)}: call depth {depth - root_depth} exceeds the EVM's {MAX_CALL_DEPTH}")
         edges.append((callee, kind))
-        if children:
-            level += 1
-            for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
-                stack.append((children[i], (where, i), depth, level))
+        for i in range(len(children) - 1, -1, -1):  # pushed last-first, so popped in order
+            stack.append((children[i], (where, i), depth))
     return ExecutionGraph(tuple(edges))
 
 
@@ -126,7 +126,7 @@ class LabelEntry:
     has_code: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "address", _address(self.address, "address"))
+        object.__setattr__(self, "address", check_address(self.address, "address"))
         if self.kind not in LABEL_KINDS:
             raise SchemaError(f"unknown kind {self.kind!r}; known: {sorted(LABEL_KINDS)}")
 
@@ -138,7 +138,7 @@ def read_labels_csv(path, text: str) -> dict[str, LabelEntry]:
     """``{address: entry}`` of the labels of ``text``, the decoded content of the
     ``LABEL_HEADER`` CSV file at ``path`` (a repeated address keeps its last row);
     errors name the path and the line."""
-    return {e.address: e for e in _csv_records(path, text, LabelEntry)}
+    return {e.address: e for e in read_rows(path, text, LabelEntry)}
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitmev import (
-    FeeBreakdown,
     SchemaError,
     TxRecord,
-    decompose,
     position_histogram,
     priority_fee_distribution,
     read_records_csv,
@@ -40,41 +38,6 @@ def make_record(**overrides):
     )
     base.update(overrides)
     return TxRecord(**base)
-
-
-def test_decompose_plain():
-    fb = decompose(make_record())
-    assert fb == FeeBreakdown(
-        execution_fee=100_000,
-        priority_fee=20_000,
-        base_fee=80_000,
-        l1_fee=500,
-        total=100_500,
-        clamped=False,
-    )
-    assert fb.base_fee + fb.priority_fee == fb.execution_fee
-
-
-def test_decompose_clamped():
-    fb = decompose(make_record(gas_price=5, priority_fee_per_gas=7, gas_used=10, l1_fee=0))
-    assert fb.execution_fee == 50
-    assert fb.priority_fee == 70
-    assert fb.base_fee == 0
-    assert fb.total == 50
-    assert fb.clamped
-
-
-def test_decompose_zero_gas_used():
-    fb = decompose(make_record(gas_used=0, l1_fee=3))
-    assert (fb.execution_fee, fb.priority_fee, fb.base_fee) == (0, 0, 0)
-    assert fb.total == 3
-    assert not fb.clamped
-
-
-def test_decompose_stays_integer():
-    fb = decompose(make_record(gas_price=10**15, gas_used=10**9, l1_fee=1))
-    assert isinstance(fb.execution_fee, int)
-    assert fb.total == 10**24 + 1
 
 
 def test_record_validation():
