@@ -9,7 +9,9 @@ config or schema error (a convex table, or a total size at which the success
 probability is at its floor), an unreadable or non-UTF-8 input, or an
 unwritable output; 3 numerical anomaly (no interior root, a non-finite
 threshold or profit, a simulated arrival time with no finite block number,
-or a simulated profit that is not finite).
+or a simulated profit that is not finite). Each output is encoded whole before its file is opened, but
+``simulate``'s large ``report.json`` streams, a piece at a time. A write that fails once its file is open
+removes the file, and exits 2.
 
 The options are one table, ``_SUBCOMMANDS``. ``main`` parses an argv once: a canonical one,
 ``[--quiet] <subcommand>`` then ``--option value`` pairs, from that table; any other through the
@@ -33,6 +35,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 
 from . import __version__
 from .config import ConfigError, DomainError, NoRootError, SchemaError, TraceParseError, read_input
@@ -53,17 +56,28 @@ def _load_config(path, build_config):
 
 
 def _write(path: str, *parts: str):
-    """Make ``parts``, each encoded as UTF-8 once, in order, the file at ``path`` in raw system
-    calls: ``open``, ``write`` until every byte is taken, ``close``, and none of a text file's
-    layers. A newline after a large text is a part of its own: ``text + "\\n"`` copies the text."""
-    encoded = [memoryview(part.encode("utf-8")) for part in parts]  # encoded before the file is truncated
+    """Make ``parts``, in order, the file at ``path``, each encoded as UTF-8 before the file is truncated,
+    so a part that cannot be encoded leaves the old file whole. A newline after a large text is a part
+    of its own: ``text + "\\n"`` copies the text."""
+    _write_chunks(path, [part.encode("utf-8") for part in parts])
+
+
+def _write_chunks(path: str, chunks):
+    """Make ``chunks`` of bytes, each taken once the one before is written, in order, the file at ``path``
+    in raw system calls: ``open``, ``write`` until every byte is taken, ``close``, and none of a text
+    file's layers. A failure once the file is open, in a chunk's making too, removes the file."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        for data in encoded:
-            while data:
-                data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+        try:
+            for data in map(memoryview, chunks):
+                while data:
+                    data = data[os.write(fd, data):]
+                del data  # its chunk is freed before the next is made
+        finally:
+            os.close(fd)
+    except BaseException:  # re-raised once the partial file is gone
+        os.remove(path)
+        raise
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -159,7 +173,8 @@ def cmd_simulate(args, out_dir: str):
         metrics = summarize(report)
 
         os.makedirs(sub, exist_ok=True)  # only for a scenario that ran: a failed one leaves none
-        _write(os.path.join(sub, "report.json"), report.to_json(), "\n")
+        # the one large output streams: each piece is encoded (str.encode: UTF-8) and written before the next is made
+        _write_chunks(os.path.join(sub, "report.json"), chain(map(str.encode, report.json_pieces()), [b"\n"]))
         del report  # not held while the next scenario runs
         _write_json(os.path.join(sub, "metrics.json"), metrics)
         histogram = metrics["revert_position_histogram"].items()  # summarize sorts it

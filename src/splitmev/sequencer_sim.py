@@ -51,7 +51,7 @@ __all__ = [
 
 STRATEGIES = ("single_shot", "split_n", "duplicate_k", "split_and_duplicate")
 ORDERINGS = ("fcfs", "pfa_within_batch")
-MAX_TXS = 10**6  # the most transactions a scenario may send, counted before any is built (about 850 MiB to run)
+MAX_TXS = 10**6  # the most transactions a scenario may send, counted before any is built (about 320 MiB to run)
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,7 @@ _OUTCOME_FIELDS = TxOutcome._fields
 _KEY_FIELDS = ("bot_id", "bot_name", "priority_fee", "size", "status")
 _ROW_KEY = attrgetter(*_KEY_FIELDS)
 _ROW_VALUES = attrgetter(*sorted(set(_OUTCOME_FIELDS) - set(_KEY_FIELDS)))
+_PIECE_ROWS = 1024  # rows per piece of SimReport.json_pieces
 
 
 def _dumps(doc) -> str:
@@ -180,20 +181,23 @@ class SimReport:
     outcomes: tuple[TxOutcome, ...]
     per_bot_profit: dict[str, float]
 
-    def to_json(self) -> str:
-        """The report as ``json.dumps(..., sort_keys=True)`` writes it, compact.
+    def to_json(self, start: int = 0, stop: int | None = None) -> str:
+        """The report as ``json.dumps(..., sort_keys=True)`` writes it, compact; with ``start`` and
+        ``stop``, the part of it for the rows ``outcomes[start:stop]``, so that consecutive ranges join
+        into the whole: the opening if ``start`` is 0 (else the comma before its rows), the closing at the end.
 
         The templates of the rows' ``_ROW_KEY``s, joined, are filled with
         every row's other fields in one ``%``. Rows whose key fields compare
         equal, as all rows of one bot's order and status in ``run`` do,
         share a template, so 0.0 and -0.0, or 1 and 1.0, are written as
-        the first row has them (``run`` never mixes them within an order).
+        the first row of the range has them (``run`` never mixes them within an order).
         ``%r`` writes an int or a finite float as ``json.dumps`` does. A value
         field of another type (a bool or a numpy value), or value fields whose
         sum is not a finite ``float`` (an infinite or NaN value, or an int
-        beyond the float range), send every row through ``json.dumps``."""
-        keys = list(map(_ROW_KEY, self.outcomes))
-        values = tuple(chain.from_iterable(map(_ROW_VALUES, self.outcomes)))
+        beyond the float range), send every row of the range through ``json.dumps``."""
+        outcomes = self.outcomes[start:stop]
+        keys = list(map(_ROW_KEY, outcomes))
+        values = tuple(chain.from_iterable(map(_ROW_VALUES, outcomes)))
         numbers = {*map(type, values)} <= {int, float}  # no bool, no numpy value
         try:
             total = sum(values) if numbers else None
@@ -203,10 +207,16 @@ class SimReport:
             templates = {key: _row_template(key) for key in set(keys)}
             rows = ",".join(map(templates.__getitem__, keys)) % values  # every row in one fill
         else:
-            rows = ",".join(_dumps(o._asdict()) for o in self.outcomes)
-        return '{"num_blocks":%s,"outcomes":[%s],"per_bot_profit":%s,"seed":%s}' % (
-            _dumps(self.num_blocks), rows, _dumps(self.per_bot_profit), _dumps(self.seed)
-        )
+            rows = ",".join(_dumps(o._asdict()) for o in outcomes)
+        head = '{"num_blocks":%s,"outcomes":[' % _dumps(self.num_blocks) if start == 0 else ","
+        last = stop is None or stop >= len(self.outcomes)
+        tail = '],"per_bot_profit":%s,"seed":%s}' % (_dumps(self.per_bot_profit), _dumps(self.seed)) if last else ""
+        return "".join((head, rows, tail))
+
+    def json_pieces(self):
+        """``to_json()`` in pieces of ``_PIECE_ROWS`` rows, each encoded once asked for: ``report.json`` streams them."""
+        for start in range(0, len(self.outcomes) or 1, _PIECE_ROWS):
+            yield self.to_json(start, start + _PIECE_ROWS)
 
 
 def order_batch(txs: list[SimTx], policy: str) -> list[SimTx]:
@@ -285,13 +295,15 @@ def run(config: SimConfig) -> SimReport:
             batches[block, bisect_right(opportunities, t), window].append(tx)
     except (OverflowError, ValueError):  # int() of an infinite or NaN block or window number
         raise NoRootError(f"arrival time {t} has no block: the simulator's arithmetic has left the float range")
+    del txs  # the batches hold each transaction until its batch has run
 
     cex, gas, penalty = config.cex_price, config.gas_overhead, config.liquidation_penalty
     names = [bot.name for bot in config.bots]
     outcomes: list[TxOutcome] = []
     per_bot = dict.fromkeys(names, 0.0)
     pool, block, opp = config.pool, 0, 0
-    for key, batch in sorted(batches.items()):
+    for key in sorted(batches):
+        batch = batches.pop(key)
         if key[0] != block:
             block, position = key[0], 0
         if key[1] != opp:

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import csv
 import datetime
+import errno
 import gc
 import hashlib
 import io
@@ -15,13 +16,14 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitmev
-from splitmev import ConfigError, NoRootError, __version__, cli
+from splitmev import ConfigError, NoRootError, __version__, cli, sequencer_sim
 from splitmev.cli import _json_text, _parse, build_parser, main
 from splitmev.trace_analysis import SwapClassification, build_graph, classify_swap
 
@@ -1163,6 +1165,47 @@ def test_short_writes_are_completed(tmp_path, configs_dir, scenarios_dir, monkey
     monkeypatch.undo()
     for name in names:
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+def test_report_write_that_fails_leaves_no_partial_file(tmp_path, scenarios_dir, monkeypatch, capsys):
+    # the disk fills once the report's first piece is written: the partial report.json is removed
+    monkeypatch.setattr(sequencer_sim, "_PIECE_ROWS", 2)  # the 5 rows of fcfs_duplicates in 3 pieces
+    write, sizes = os.write, []
+
+    def full_after_first_piece(fd, data):
+        if sizes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        sizes.append(write(fd, data))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", full_after_first_piece)
+    out = tmp_path / "out"
+    assert main(["--quiet", "simulate", "--config", str(scenarios_dir / "fcfs_duplicates.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert sizes and os.listdir(out) == []
+
+
+def test_report_is_written_in_bounded_memory(tmp_path, scenarios_dir, monkeypatch):
+    # about 20k rows: the writer holds a piece of the report's text at a time, not the whole text
+    config = json.loads((scenarios_dir / "fcfs_duplicates.json").read_text())
+    config.update(horizon=40.0, opportunity_refresh=0.01)  # 4,001 opportunities × 5 copies
+    (tmp_path / "big.json").write_text(json.dumps(config))
+    summarize = sequencer_sim.summarize
+
+    def summarize_then_trace(report):  # what is allocated from here on is the outputs' writing
+        metrics = summarize(report)
+        tracemalloc.start()
+        return metrics
+
+    monkeypatch.setattr(sequencer_sim, "summarize", summarize_then_trace)
+    try:
+        assert main(["--quiet", "simulate", "--config", str(tmp_path / "big.json"), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "out" / "report.json").stat().st_size
+    assert size > 3_500_000
+    assert peak < size / 4, (peak, size)
 
 
 @pytest.mark.parametrize("command, name", [

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -460,13 +461,15 @@ JITTERED = SimConfig(
 )
 
 
-def test_reports_match_golden_digests(scenarios_dir):
+def test_reports_match_golden_digests(scenarios_dir, monkeypatch):
     configs = {p.name: SimConfig.from_dict(json.loads(p.read_text())) for p in sorted(scenarios_dir.glob("*.json"))}
     configs["jittered"] = JITTERED
     assert sorted(configs) == sorted(GOLDEN_REPORTS)
+    monkeypatch.setattr(sequencer_sim, "_PIECE_ROWS", 2)  # the report.json text, joined from many pieces
     for name, config in configs.items():
-        digest = hashlib.sha256(run(config).to_json().encode()).hexdigest()
-        assert digest == GOLDEN_REPORTS[name], name
+        report = run(config)
+        for text in (report.to_json(), "".join(report.json_pieces())):
+            assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[name], name
 
 
 def test_rows_are_whole_tuples(scenarios_dir):
@@ -600,6 +603,62 @@ def test_to_json_writes_any_float_as_json_does():
     for values in [(math.nan, 1.0), (math.inf, -math.inf), (np.float64(0.1), np.float64(-1e-7))]:
         report = SimReport(0, 1, (row(0, values[0], 0.5), row(1, 0.25, values[1])), {"a": values[1]})
         assert report.to_json() == dict_json(report)
+
+
+# each bot's key fields, fixed, so that no two of its rows compare equal but encode apart
+PIECE_BOTS = [(0, "a", 0.0, 1.0), (1, 'q"u%s', 1.5, 0.25), (2, "\u00e9\n", 0.0, 3.0)]
+# a value that sends the rows of its piece, and only those, through json.dumps
+ODD_VALUES = [math.nan, math.inf, -math.inf, True, False, np.float64(0.1), np.float64(-2.5), 10**400]
+VALUE_FIELDS = ("arrival_time", "block_number", "payout", "position", "profit", "submission_seq")
+
+
+def piece_report(n, floats, odd=None):
+    """A report of ``n`` rows, their floats taken in turn from ``floats``; ``odd`` is a
+    (row, field, value) put in place, for a row in range."""
+    floats = iter(floats)
+    rows = []
+    for seq in range(n):
+        bot_id, name, fee, size = PIECE_BOTS[seq % 3]
+        status = ("success", "reverted")[seq % 5 == 1]
+        rows.append(TxOutcome(bot_id, name, seq, 1 + seq // 7, seq % 7, status, size, fee, *itertools.islice(floats, 3)))
+    if odd is not None and odd[0] < n:
+        rows[odd[0]] = rows[odd[0]]._replace(**{odd[1]: odd[2]})
+    return SimReport(5, 1 + n // 7, tuple(rows), {name: -0.5 for _, name, _, _ in PIECE_BOTS})
+
+
+@st.composite
+def piece_reports(draw):
+    """A piece size B and a report of 0, 1, B, B + 1 or 2B + 1 rows of finite floats, which may hold one odd value."""
+    size = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([0, 1, size, size + 1, 2 * size + 1]))
+    floats = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3 * n, max_size=3 * n))
+    odd = st.tuples(st.integers(0, 2 * size), st.sampled_from(VALUE_FIELDS), st.sampled_from(ODD_VALUES))
+    odd = draw(st.one_of(st.none(), odd))
+    return size, piece_report(n, floats, odd)
+
+
+B = sequencer_sim._PIECE_ROWS
+SPREAD = [0.125 * i - 3.0 for i in range(3 * (2 * B + 1))]
+
+
+@given(piece_reports())
+@example((B, piece_report(0, [])))
+@example((B, piece_report(1, SPREAD)))
+@example((B, piece_report(B, SPREAD, (B - 1, "profit", math.nan))))
+@example((B, piece_report(B + 1, SPREAD, (B, "arrival_time", np.float64(0.1)))))
+@example((B, piece_report(2 * B + 1, SPREAD, (B + 3, "position", True))))
+@settings(max_examples=200, deadline=None)
+def test_pieces_join_into_the_report(case):
+    size, report = case
+    with mock.patch.object(sequencer_sim, "_PIECE_ROWS", size):
+        pieces = list(report.json_pieces())
+    assert all(type(piece) is str for piece in pieces)
+    assert len(pieces) == max(1, -(-len(report.outcomes) // size))
+    whole = report.to_json()
+    assert "".join(pieces) == whole == dict_json(report)
+    n = len(report.outcomes)
+    for k in {1, n // 2} & set(range(1, n)):  # any two ranges that cover the rows
+        assert report.to_json(0, k) + report.to_json(k) == whole
 
 
 def reverted(seq, payout=0.0, profit=-1.5, arrival=0.125, size=1.0, status="reverted"):
