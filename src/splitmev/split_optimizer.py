@@ -183,7 +183,7 @@ def solve_chunk(
     for _ in range(200):
         mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
         r, rhs = _residual_unchecked(pool, params, model, mid)
-        if abs(r) <= REL_TOL * (1.0 + abs(rhs)):
+        if abs(r) <= REL_TOL * abs(rhs):  # relative only: an absolute floor stops early on tiny pools
             return mid
         if r > 0:
             lo = mid

@@ -447,7 +447,26 @@ def test_plan_matches_brute_force_on_concave_tables(pool, size, stretch, price, 
     assert result.expected_total_profit >= bf.expected_total_profit - 1e-6 * (1 + abs(bf.expected_total_profit))
 
 
-WORKED = PoolState(1000.0, 2000.0, 0.003)
+def test_plan_matches_brute_force_at_tiny_scale():
+    # residuals near 1e-11: a root tolerance with an absolute floor of 1e-10
+    # stopped bisection at D/q* = 928.6 while the optimum is 931
+    pool = PoolState(100.0, 100.0, 0.0)
+    table = TableInterpolated(
+        qs=(0.0, 0.078125, 0.15625, 0.234375, 0.3125, 0.390625),
+        ps=(1.0, 0.9767441860465116, 0.9302325581395349, 0.6976744186046512, 0.4651162790697675, 0.0),
+    )
+    params = ArbParams(0.1953125, 1.0)
+    params = ArbParams(0.1953125, 1.0, 1.192092896e-07 * threshold(pool, params, table))
+    result = plan(pool, params, table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bf = brute_force_plan(pool, params, table, 1000)
+    assert not bf.truncated
+    assert bf.num_chunks == 931
+    assert result.num_chunks == bf.num_chunks
+
+
+WORKED =PoolState(1000.0, 2000.0, 0.003)
 FLOORED_AT_D = {  # (model, D): p(D) is the floor
     "linear-at-reach": (LinearClamped(slope=0.01), 100.0),
     "linear-beyond": (LinearClamped(slope=0.01), 150.0),
