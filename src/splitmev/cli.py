@@ -1,17 +1,15 @@
 """Command-line entry point: optimize / simulate / analyze.
 
-Every subcommand writes its outputs into a single output directory (a
-directory ``simulate``, into one subdirectory per scenario) and nowhere
-else, then yields each directory it filled. ``main`` is the only code that
-writes a ``manifest.json`` or prints a progress line. Every output file is
-UTF-8 whatever the locale, as every input must be. Exit codes: 0 ok; 2
-config or schema error (a convex table, or a total size at which the success
-probability is at its floor), an unreadable or non-UTF-8 input, or an
-unwritable output; 3 numerical anomaly (no interior root, a non-finite
-threshold or profit, a simulated arrival time with no finite block number,
-or a simulated profit that is not finite). Each output is encoded whole before its file is opened, but
-``simulate``'s large ``report.json`` streams, a piece at a time. A write that fails once its file is open
-removes the file, and exits 2.
+Every subcommand computes and writes nothing: it yields each output directory (``--out``; in a
+``simulate`` sweep, one subdirectory per scenario) with the text of each of its outputs. ``main`` adds the
+directory's ``manifest.json``, writes them all through one writer, ``_write_outputs``, and prints the
+progress line. Each directory's outputs, then its manifest, are written whole or not at all: a write that
+fails removes every file of that directory the writer opened, and exits 2 naming the file. Every output is
+UTF-8 whatever the locale, as every input must be; ``simulate``'s large ``report.json`` streams, a piece
+at a time. Exit codes: 0 ok; 2 config or schema error (a convex table, or a total size at which the
+success probability is at its floor), an unreadable or non-UTF-8 input, or an unwritable output; 3
+numerical anomaly (no interior root, a non-finite threshold or profit, a simulated arrival time with no
+finite block number, or a simulated profit that is not finite).
 
 The options are one table, ``_SUBCOMMANDS``. ``main`` parses an argv once: a canonical one,
 ``[--quiet] <subcommand>`` then ``--option value`` pairs, from that table; any other through the
@@ -55,28 +53,30 @@ def _load_config(path, build_config):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _write(path: str, *parts: str):
-    """Make ``parts``, in order, the file at ``path``, each encoded as UTF-8 before the file is truncated,
-    so a part that cannot be encoded leaves the old file whole. A newline after a large text is a part
-    of its own: ``text + "\\n"`` copies the text."""
-    _write_chunks(path, [part.encode("utf-8") for part in parts])
-
-
-def _write_chunks(path: str, chunks):
-    """Make ``chunks`` of bytes, each taken once the one before is written, in order, the file at ``path``
-    in raw system calls: ``open``, ``write`` until every byte is taken, ``close``, and none of a text
-    file's layers. A failure once the file is open, in a chunk's making too, removes the file."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+def _write_outputs(directory: str, outputs: dict):
+    """Make each ``{name: text}`` of ``outputs``, in order, the file ``name`` of ``directory``: a text is a
+    str or an iterable of str pieces, each made and encoded (UTF-8) only once the one before is written.
+    Raw system calls: ``open``, ``write`` until every byte is taken, ``close``, and none of a text file's
+    layers. A failure once the first file is open, in a piece's making too, removes every file this call
+    opened; an ``OSError`` that names no file (``write``'s or ``close``'s) is given the path it was writing."""
+    opened = []
     try:
-        try:
-            for data in map(memoryview, chunks):
-                while data:
-                    data = data[os.write(fd, data):]
-                del data  # its chunk is freed before the next is made
-        finally:
-            os.close(fd)
-    except BaseException:  # re-raised once the partial file is gone
-        os.remove(path)
+        for name, pieces in outputs.items():
+            path = os.path.join(directory, name)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            opened.append(path)
+            try:
+                for data in map(memoryview, map(str.encode, [pieces] if isinstance(pieces, str) else pieces)):
+                    while data:
+                        data = data[os.write(fd, data):]
+                    del data  # its piece is freed before the next is made
+            finally:
+                os.close(fd)
+    except BaseException as exc:  # re-raised once the directory's files are gone
+        for done in opened:
+            os.remove(done)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = path
         raise
 
 
@@ -115,17 +115,17 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write_json(path: str, doc: dict):
-    """``doc`` as indented, key-sorted JSON."""
-    _write(path, _json_text(doc, "\n") + "\n")
+def _json_doc(doc: dict) -> str:
+    """``doc`` as indented, key-sorted JSON, and a newline."""
+    return _json_text(doc, "\n") + "\n"
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO(newline="")  # csv's own \r\n line ends, untranslated
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _json_files(directory: str) -> list[tuple[str, str]]:
@@ -144,10 +144,9 @@ def cmd_optimize(args, out_dir: str):
     n_curve = min(10 * result.num_chunks, 1000)
     curve = profit_curve(cfg.pool, cfg.params, model, n_curve)
 
-    _write_json(os.path.join(out_dir, "plan.json"), vars(result))
-    _write_csv(os.path.join(out_dir, "profit_curve.csv"), ["n", "expected_total_profit"], curve)
+    outputs = {"plan.json": _json_doc(vars(result)), "profit_curve.csv": _csv_text(["n", "expected_total_profit"], curve)}
     progress = f"plan: branch={result.branch} n*={result.num_chunks} q*={result.chunk_size:.6g}"
-    yield out_dir, {"config": args.config}, hashlib.sha256(raw), progress
+    yield out_dir, outputs, {"config": args.config}, hashlib.sha256(raw), progress
 
 
 def cmd_simulate(args, out_dir: str):
@@ -172,16 +171,17 @@ def cmd_simulate(args, out_dir: str):
             raise type(exc)(f"{config_path}: {exc}") from exc
         metrics = summarize(report)
 
-        os.makedirs(sub, exist_ok=True)  # only for a scenario that ran: a failed one leaves none
-        # the one large output streams: each piece is encoded (str.encode: UTF-8) and written before the next is made
-        _write_chunks(os.path.join(sub, "report.json"), chain(map(str.encode, report.json_pieces()), [b"\n"]))
-        del report  # not held while the next scenario runs
-        _write_json(os.path.join(sub, "metrics.json"), metrics)
-        histogram = metrics["revert_position_histogram"].items()  # summarize sorts it
-        _write_csv(os.path.join(sub, "revert_position_histogram.csv"), ["position", "count"], histogram)
-        _write_csv(os.path.join(sub, "per_bot_profit.csv"), ["bot", "profit"], sorted(metrics["per_bot_profit"].items()))
+        outputs = {
+            # the one large output streams: each piece is made once the one before is written
+            "report.json": chain(report.json_pieces(), ["\n"]),
+            "metrics.json": _json_doc(metrics),
+            "revert_position_histogram.csv": _csv_text(  # summarize sorts it
+                ["position", "count"], metrics["revert_position_histogram"].items()),
+            "per_bot_profit.csv": _csv_text(["bot", "profit"], sorted(metrics["per_bot_profit"].items())),
+        }
+        del report  # held by its pieces alone, so freed once they are written, before the next scenario runs
         progress = f"{os.path.basename(config_path)}: {metrics['total_txs']} txs, revert rate {metrics['revert_rate']:.3f}"
-        yield sub, {"config": config_path}, hashlib.sha256(raw), progress
+        yield sub, outputs, {"config": config_path}, hashlib.sha256(raw), progress
 
 
 # a classification line as json.dumps({"tx_hash": ..., **vars(cls)}, sort_keys=True) writes it
@@ -226,23 +226,16 @@ def cmd_analyze(args, out_dir: str):
             if record is not None:
                 classified.append((cls, record))
 
-    # written once every trace has parsed, so a malformed trace leaves no partial file; through
-    # a buffered file, as one os.write per line (_write(path, *lines)) costs about 4 times as much
-    # and "".join(lines) would hold two more copies of the text
-    with open(os.path.join(out_dir, "classifications.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
+    # joined 1,024 lines at a time, each slice once the one before is written: one os.write per
+    # line costs about 4 times as much, and "".join(lines) would hold two more copies of the text
+    outputs = {"classifications.jsonl": ("".join(lines[i:i + 1024]) for i in range(0, len(lines), 1024))}
     for name, table in breakdown(classified).items():
-        _write_csv(
-            os.path.join(out_dir, f"breakdown_{name}.csv"),
-            [name, "count", "share"],
-            [(v, n, f"{share:.6f}") for v, n, share in table],
-        )
+        rows = [(v, n, f"{share:.6f}") for v, n, share in table]
+        outputs[f"breakdown_{name}.csv"] = _csv_text([name, "count", "share"], rows)
 
     daily_all, daily_pf = revert_stats(records)
     diff = revert_differential(daily_all, daily_pf)
-    _write_csv(
-        os.path.join(out_dir, "revert_stats.csv"),
+    outputs["revert_stats.csv"] = _csv_text(
         ["chain", "day", "revert_rate", "priority_revert_rate", "differential"],
         [
             (
@@ -255,14 +248,14 @@ def cmd_analyze(args, out_dir: str):
             for (chain, day), rate in daily_all.items()
         ],
     )
-    _write_csv(os.path.join(out_dir, "position_histogram.csv"), ["tx_index", "count"], position_histogram(records).items())
-    _write_json(os.path.join(out_dir, "priority_fee_distribution.json"), priority_fee_distribution(records))
+    outputs["position_histogram.csv"] = _csv_text(["tx_index", "count"], position_histogram(records).items())
+    outputs["priority_fee_distribution.json"] = _json_doc(priority_fee_distribution(records))
     bots = sorted(identify_bots(records, labels, args.min_bot_reverts))
-    _write_csv(os.path.join(out_dir, "bots.csv"), ["address"], [(a,) for a in bots])
+    outputs["bots.csv"] = _csv_text(["address"], [(a,) for a in bots])
 
     inputs = {"traces": args.traces, "labels": args.labels, "records": args.records}
     progress = f"classified {len(lines)} traces ({swaps} swaps)"
-    yield out_dir, inputs, digest, progress
+    yield out_dir, outputs, inputs, digest, progress
 
 
 def _int_at_least(lowest: int, text: str) -> int:
@@ -354,9 +347,9 @@ def main(argv: list[str] | None = None) -> int:
             build_parser().error("the following arguments are required: --out")
         if not os.path.isdir(out_dir):  # where it is, one stat, not a failing mkdir and its exception
             os.makedirs(out_dir, exist_ok=True)
-        # each directory's manifest follows its outputs: a failing scenario leaves earlier ones whole
-        for directory, inputs, digest, progress in args.command(args, out_dir):
-            _write_json(os.path.join(directory, "manifest.json"), {
+        # each directory whole, its manifest last, or not at all: a failing scenario leaves earlier ones whole
+        for directory, outputs, inputs, digest, progress in args.command(args, out_dir):
+            outputs["manifest.json"] = _json_doc({
                 "subcommand": args.subcommand,
                 "inputs": inputs,
                 "config_sha256": digest.hexdigest(),
@@ -366,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
                 # second begins can still read the second before, behind time.time()
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
             })
+            if not os.path.isdir(directory):  # a scenario's subdirectory, made only once its scenario has run
+                os.makedirs(directory, exist_ok=True)
+            _write_outputs(directory, outputs)
             if not args.quiet:
                 print(progress)
         return EXIT_OK

@@ -1147,17 +1147,23 @@ def test_new_outputs_get_the_mode_open_gives(tmp_path, configs_dir):
     assert modes == {"manifest.json": 0o660, "plan.json": 0o660, "profit_curve.csv": 0o660}
 
 
-def command_config(command, configs_dir, scenarios_dir):
-    return {"optimize": configs_dir / "optimize_worked.json", "simulate": scenarios_dir / "fcfs_duplicates.json"}[command]
+def command_argv(command, configs_dir, scenarios_dir, fixtures_dir):
+    """``command`` and its input options, over the shipped config, scenario or fixture corpus."""
+    if command == "analyze":
+        return [command, "--traces", str(fixtures_dir / "traces"), "--labels", str(fixtures_dir / "labels.csv"),
+                "--records", str(fixtures_dir / "records.csv")]
+    config = {"optimize": configs_dir / "optimize_worked.json", "simulate": scenarios_dir / "fcfs_duplicates.json"}
+    return [command, "--config", str(config[command])]
 
 
 @pytest.mark.parametrize("command, names", [
     ("optimize", ("plan.json", "profit_curve.csv")),
     ("simulate", ("report.json", "metrics.json")),
-], ids=["optimize", "simulate"])
-def test_short_writes_are_completed(tmp_path, configs_dir, scenarios_dir, monkeypatch, command, names):
+    ("analyze", ("classifications.jsonl", "breakdown_pair.csv")),
+], ids=["optimize", "simulate", "analyze"])
+def test_short_writes_are_completed(tmp_path, configs_dir, scenarios_dir, fixtures_dir, monkeypatch, command, names):
     # a write may take fewer bytes than it was given; the rest follow
-    argv = ["--quiet", command, "--config", str(command_config(command, configs_dir, scenarios_dir)), "--out"]
+    argv = ["--quiet", *command_argv(command, configs_dir, scenarios_dir, fixtures_dir), "--out"]
     assert main([*argv, str(tmp_path / "whole")]) == 0
     write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
@@ -1165,6 +1171,11 @@ def test_short_writes_are_completed(tmp_path, configs_dir, scenarios_dir, monkey
     monkeypatch.undo()
     for name in names:
         assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
+def disk_full_error(path) -> str:
+    """The error line of a write to ``path`` that fails for a full disk: it names the file."""
+    return f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(path)!r}\n"
 
 
 def test_report_write_that_fails_leaves_no_partial_file(tmp_path, scenarios_dir, monkeypatch, capsys):
@@ -1181,7 +1192,7 @@ def test_report_write_that_fails_leaves_no_partial_file(tmp_path, scenarios_dir,
     monkeypatch.setattr(os, "write", full_after_first_piece)
     out = tmp_path / "out"
     assert main(["--quiet", "simulate", "--config", str(scenarios_dir / "fcfs_duplicates.json"), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr().err == disk_full_error(out / "report.json")
     assert sizes and os.listdir(out) == []
 
 
@@ -1208,16 +1219,56 @@ def test_report_is_written_in_bounded_memory(tmp_path, scenarios_dir, monkeypatc
     assert peak < size / 4, (peak, size)
 
 
+# every write to /dev/full fails with ENOSPC: an output linked to it is a disk that fills at that file
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command, name", [("simulate", "metrics.json"), ("analyze", "classifications.jsonl")])
+def test_failed_output_leaves_no_file_of_its_directory(
+    tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, command, name
+):
+    # every file written before the failing one goes with it (report.json before metrics.json); no manifest is written
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    assert main(["--quiet", *command_argv(command, configs_dir, scenarios_dir, fixtures_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == disk_full_error(out / name)
+    assert os.listdir(out) == []
+
+
+@needs_dev_full
+def test_failed_scenario_output_keeps_earlier_scenarios_whole(tmp_path, scenarios_dir, capsys):
+    # "b" fails at its fourth file: its earlier three go too, and "a" stays as a run of its own writes it
+    configs = tmp_path / "scenarios"
+    configs.mkdir()
+    for stem in ("a", "b"):
+        (configs / f"{stem}.json").write_bytes((scenarios_dir / "fcfs_duplicates.json").read_bytes())
+    out = tmp_path / "out"
+    (out / "b").mkdir(parents=True)
+    (out / "b" / "per_bot_profit.csv").symlink_to("/dev/full")
+    assert main(["--quiet", "simulate", "--config", str(configs), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == disk_full_error(out / "b" / "per_bot_profit.csv")
+    assert os.listdir(out / "b") == []
+    assert main(["--quiet", "simulate", "--config", str(configs / "a.json"), "--out", str(tmp_path / "alone")]) == 0
+    names = sorted(os.listdir(out / "a"))
+    assert names == sorted(os.listdir(tmp_path / "alone")) and len(names) == 5
+    for name in names:
+        assert name == "manifest.json" or (out / "a" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert json.loads((out / "a" / "manifest.json").read_text())["out_dir"] == str(out / "a")
+
+
 @pytest.mark.parametrize("command, name", [
     pytest.param("optimize", "plan.json", id="plan.json"),
     pytest.param("optimize", "profit_curve.csv", id="profit_curve.csv"),
     pytest.param("optimize", "manifest.json", id="manifest.json"),
     pytest.param("simulate", "report.json", id="report.json"),
+    pytest.param("analyze", "classifications.jsonl", id="classifications.jsonl"),
 ])
-def test_unwritable_output_exit_code(tmp_path, configs_dir, scenarios_dir, capsys, command, name):
+def test_unwritable_output_exit_code(tmp_path, configs_dir, scenarios_dir, fixtures_dir, capsys, command, name):
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)  # as a file without write permission; root ignores chmod
-    argv = ["--quiet", command, "--config", str(command_config(command, configs_dir, scenarios_dir))]
+    argv = ["--quiet", *command_argv(command, configs_dir, scenarios_dir, fixtures_dir)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / name) in err and "Traceback" not in err
