@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
                 # second begins can still read the second before, behind time.time()
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
             })
-            if not os.path.isdir(directory):  # a scenario's subdirectory, made only once its scenario has run
+            if directory != out_dir and not os.path.isdir(directory):  # a sweep's, made once its scenario has run
                 os.makedirs(directory, exist_ok=True)
             _write_outputs(directory, outputs)
             if not args.quiet:

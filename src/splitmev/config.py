@@ -1,5 +1,6 @@
 """One builder for JSON configs: the fields of a frozen dataclass give the
-allowed keys, the required keys and the type of each value. One reader for
+allowed keys, the required keys and the type of each value, and the check
+and conversion of each field's value is chosen once per class. One reader for
 every input file, and one CSV row reader, ``read_rows``: a dataclass's fields
 give the header and the type of each cell. ``check_address`` is the address
 rule of those rows and of traces. The error classes of the CLI's exit
@@ -79,6 +80,15 @@ def _fields(cls) -> dict:  # name -> (type, required: no default of either kind)
     return {f.name: (hints[f.name], f.default is f.default_factory is MISSING) for f in fields(cls)}
 
 
+@functools.cache
+def _schema(cls, top: bool) -> tuple:
+    """The keys allowed in a ``cls`` object (``version`` too at the top level), and each
+    field's name, coercer and whether it is required."""
+    spec = _fields(cls)
+    coercers = [(name, _coercer(tp, f".{name}"), required) for name, (tp, required) in spec.items()]
+    return (spec.keys() | {"version"} if top else spec.keys()), coercers
+
+
 def check_address(value, name: str) -> str:
     """``str(value)`` lowercased, checked as an address: ``0x`` and 40 hex digits, either case."""
     address = str(value).lower()
@@ -114,43 +124,65 @@ def read_rows(path, text: str, cls) -> list:
     return items
 
 
-def _coerce(tp, value, path: str):
+def _coercer(tp, place: str):
+    """The check and conversion of a JSON value of type ``tp``, chosen once per field. An error
+    names the value by ``place``, its path below the value that holds it (``.fee``, or ``""``)."""
     if tp in _JSON:
         kinds, msg = _JSON[tp]
-        require(isinstance(value, kinds) and not isinstance(value, bool), path, msg)
-        try:
-            if tp is str:
-                value.encode()  # a lone surrogate, which a JSON escape can make, cannot be written out
-            return float(value) if tp is float else value
-        except OverflowError:
-            raise ConfigError(f"{path}: number out of range") from None
-        except UnicodeEncodeError:
-            raise ConfigError(f"{path}: not valid Unicode text") from None
+
+        def coerce(value):
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ConfigError(f"{place}: {msg}")
+            try:
+                if tp is str:
+                    value.encode()  # a lone surrogate, which a JSON escape can make, cannot be written out
+                return float(value) if tp is float else value
+            except OverflowError:
+                raise ConfigError(f"{place}: number out of range") from None
+            except UnicodeEncodeError:
+                raise ConfigError(f"{place}: not valid Unicode text") from None
+        return coerce
     if is_dataclass(tp):
-        return build(tp, value, path)
-    item = get_args(tp)[0]  # of tuple[X, ...] or X | None, the only other field types
-    if get_origin(tp) is tuple:
-        require(isinstance(value, (list, tuple)), path, "expected a list")  # a tuple from Python callers
-        return tuple(_coerce(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    return None if value is None else _coerce(item, value, path)
+        return functools.partial(build, tp, path=place)
+    if get_origin(tp) is not tuple:  # X | None, the only other field type but tuple[X, ...]
+        item = _coercer(get_args(tp)[0], place)
+        return lambda value: None if value is None else item(value)
+    item = _coercer(get_args(tp)[0], "")
+
+    def coerce_tuple(value):
+        if not isinstance(value, (list, tuple)):  # a tuple from Python callers
+            raise ConfigError(f"{place}: expected a list")
+        items = []
+        try:
+            for v in value:
+                items.append(item(v))
+        except ConfigError as exc:
+            raise ConfigError(f"{place}[{len(items)}]{exc}") from exc.__cause__
+        return tuple(items)
+    return coerce_tuple
 
 
 def build(cls, data, path: str = "config"):
     """Build dataclass ``cls`` from the JSON value at ``path``; only the top
-    level may carry ``version``. The dataclass's own checks name ``path`` too."""
-    require(isinstance(data, dict), path, "expected an object")
-    spec = _fields(cls)
-    for key in data:
-        require(key in spec or (key == "version" and path == "config"), f"{path}.{key}", "unknown field")
-    kwargs = {}
-    for name, (tp, required) in spec.items():
-        if name in data:
-            kwargs[name] = _coerce(tp, data[name], f"{path}.{name}")
-        elif required:
-            raise ConfigError(f"{path}.{name}: required")
+    level may carry ``version``. The dataclass's own checks name ``path`` too.
+    A nested value's path is its place below its parent, such as ``.pool``."""
     try:
-        return cls(**kwargs)
-    except ConfigError as exc:  # a field check's message starts with the field name
-        raise ConfigError(f"{path}.{exc}") from exc
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(": expected an object")
+        keys, schema = _schema(cls, path == "config")
+        if not data.keys() <= keys:  # then name the first unknown key, in document order
+            raise ConfigError(f".{next(key for key in data if key not in keys)}: unknown field")
+        kwargs = {}
+        for name, coerce, required in schema:
+            if name in data:
+                kwargs[name] = coerce(data[name])
+            elif required:
+                raise ConfigError(f".{name}: required")
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:  # a field check's message starts with the field name
+            raise ConfigError(f".{exc}") from exc
+        except DomainError as exc:
+            raise ConfigError(f": {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}{exc}") from exc.__cause__

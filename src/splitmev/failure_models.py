@@ -14,7 +14,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .config import DomainError, build, require
+from .config import ConfigError, DomainError, build, require
 
 __all__ = [
     "FailureModel",
@@ -185,6 +185,7 @@ _FAMILIES = {
 def from_config(family: str, parameters: dict) -> FailureModel:
     """Build a model from the ``model`` section of a config; errors are
     ``ConfigError`` naming the field under ``config.model``."""
-    require(family in _FAMILIES, "config.model.family", f"unknown {family!r}; known: {sorted(_FAMILIES)}")
+    if family not in _FAMILIES:  # the message only then: sorting the names costs more than the check
+        raise ConfigError(f"config.model.family: unknown {family!r}; known: {sorted(_FAMILIES)}")
     return build(_FAMILIES[family], parameters, "config.model.parameters")
 

@@ -1,5 +1,8 @@
+import contextlib
+import itertools
 import math
 import re
+import statistics
 import warnings
 
 import numpy as np
@@ -31,6 +34,7 @@ from splitmev import (
 from splitmev.amm_core import marginal_out_unchecked, swap_out_unchecked
 from splitmev.config import ConfigError
 from splitmev.failure_models import from_config
+from splitmev import split_optimizer
 from splitmev.split_optimizer import _residual_unchecked, profit_curve
 
 from conftest import compliant_instances, pointwise, pools, ref_marginal_out, ref_prob_and_slope, ref_swap_out, residual
@@ -191,6 +195,96 @@ def test_solve_chunk_checks_the_domain_at_total_size():
     short = TableInterpolated(qs=(0.0, 50.0), ps=(1.0, 0.5))
     with pytest.raises(DomainError):
         solve_chunk(POOL, ArbParams(100, 1.9, 1.0), short)
+
+
+def _evaluated(monkeypatch) -> list:
+    """The q of each ``_residual_unchecked`` call ``solve_chunk`` makes from here on."""
+    seen = []
+    real = split_optimizer._residual_unchecked
+
+    def counted(pool, params, model, q):
+        seen.append(q)
+        return real(pool, params, model, q)
+
+    monkeypatch.setattr(split_optimizer, "_residual_unchecked", counted)
+    return seen
+
+
+def test_solve_chunk_takes_few_evaluations(monkeypatch):
+    # secant steps on log q: bisection took about 37 evaluations a solve
+    seen, counts = _evaluated(monkeypatch), []
+    for pool, params, model in compliant_instances(31, 300):
+        if params.gas_overhead < threshold(pool, params, model):
+            seen.clear()
+            with contextlib.suppress(NoRootError):
+                solve_chunk(pool, params, model)
+                counts.append(len(seen))
+    assert len(counts) > 100
+    assert statistics.median(counts) <= 20
+
+
+def test_solve_chunk_at_a_knot_lags_bisection_by_at_most_six_steps(monkeypatch):
+    # the root sits on a knot of the table, where the residual jumps across 0: regula falsi
+    # alone crept up on it for 99 evaluations; held near the midpoint, it takes at most
+    # 6 steps more than the 38 bisection needs to close the bracket on log q, plus the one at D * 1e-9
+    pool = PoolState(792.7468481135736, 1630826.1517290575, 0.0005)
+    table = TableInterpolated(
+        qs=(0.0, 141.40051513112346, 282.8010302622469, 424.2015453933703, 565.6020605244938, 707.0025756556172),
+        ps=(1.0, 0.9493543543708305, 0.8251124967285823, 0.6389267255081001, 0.3960855188921869, 0.09999999999999998),
+    )
+    params = ArbParams(179.14655004596287, 2141.6492379432734, 48007.03556274805, 41734.63641367325)
+    seen = _evaluated(monkeypatch)
+    q_star = solve_chunk(pool, params, table)
+    assert q_star == pytest.approx(table.qs[1], rel=1e-9)
+    assert len(seen) <= 1 + 38 + 6
+
+
+def test_solve_chunk_takes_the_midpoint_where_the_secant_step_is_nan(monkeypatch):
+    # (x + q)**2 underflows near q = 0, so the marginal output and the residual at D * 1e-9
+    # are inf: the first secant step, inf / inf, is NaN and takes the geometric midpoint
+    pool, d = PoolState(1e-170, 1e130), 1e-160
+    price = 0.5 * pool.reserve_y / pool.reserve_x
+    params = ArbParams(d, price, 0.3 * threshold(pool, ArbParams(d, price), P_ONE))
+    lo = d * 1e-9
+    assert _residual_unchecked(pool, params, P_ONE, lo)[0] == math.inf
+    seen = _evaluated(monkeypatch)
+    q_star = solve_chunk(pool, params, P_ONE)
+    assert seen[:2] == [lo, math.sqrt(lo) * math.sqrt(d)]
+    # a root of the residual as computed: positive just below it, negative just above
+    assert _residual_unchecked(pool, params, P_ONE, q_star * (1 - 1e-9))[0] > 0
+    assert _residual_unchecked(pool, params, P_ONE, q_star * (1 + 1e-9))[0] < 0
+
+
+EXTREME_MODELS = {  # each model of D; p(D) is 1/2, above the floor
+    "linear": lambda d: LinearClamped(slope=0.5 / d),
+    "power": lambda d: PowerConcave(q_max=2.0 * d, alpha=1.5),
+    "quadratic": lambda d: QuadraticConcave(a=0.2 / d, b=0.3 / d / d),
+}
+
+
+@pytest.mark.parametrize("x, y", [(1e-6, 1e-6), (1e-6, 1e300), (1.0, 1e100), (1e6, 1.0), (1e150, 1e-6), (1e150, 1e150)])
+def test_plan_matches_brute_force_at_extreme_scales(x, y):
+    # reserves from 1e-6 to 1e300 and D from 1e-9 to 3e149, with overheads near 0 and near
+    # the threshold. reserve_x stops at 1e150: beyond about 1e154, (x + q)**2 in marginal_out
+    # overflows, and plan and the oracle part (a defect of the kernel, not of the root solve)
+    pool = PoolState(x, y, 0.003)
+    for share, gas_share, model_of in itertools.product((1e-3, 0.3), (1e-7, 0.3, 1 - 1e-9), EXTREME_MODELS.values()):
+        d, price = share * x, 0.9 * y / x
+        model = model_of(d)
+        params = ArbParams(d, price, gas_share * threshold(pool, ArbParams(d, price), model))
+        result = plan(pool, params, model)
+        bf = brute_force_plan(pool, params, model, 2 * result.num_chunks + 10)
+        assert not bf.truncated
+        assert (result.num_chunks, result.expected_total_profit) == (bf.num_chunks, bf.expected_total_profit)
+
+
+def test_plan_where_d_times_1e_9_underflows(monkeypatch):
+    # D * 1e-9 is 0 below about 2.5e-315: the bracket starts at the least float instead,
+    # where the step on log q is finite
+    pool, params = PoolState(1e-6, 2e-6), ArbParams(2e-315, 1.9, 5e-324)
+    seen = _evaluated(monkeypatch)
+    assert plan(pool, params, LinearClamped(slope=1e307)).branch == "interior_root"
+    assert seen[0] == math.ulp(0.0)
 
 
 @st.composite
